@@ -19,23 +19,19 @@ Fails (exit 1) if any given trace file:
   (``remaps``, ``messages``, ``bytes_sent``) — pure out-of-core traces
   (``algo.external`` > 0, no remaps) are exempt: the external sort moves
   bytes through the filesystem, not a transport;
-* ran the default (fused) bitonic sort but shows no ``coll.fused``
-  collectives, or fused collectives that all fell back off the zero-copy
-  path (``coll.fused_direct`` == 0) — the compatibility fallback must
-  never engage silently on the bundled backends (pass ``--allow-unfused``
-  for traces of deliberately unfused runs).  Traces of pure sample-sort
-  runs (``algo.sample`` > 0, no bitonic remaps) are exempt: sample sort
-  fuses nothing by design;
+* ran the bitonic sort but shows no ``coll.fused`` collectives, or
+  fused collectives that all fell back off the zero-copy path
+  (``coll.fused_direct`` == 0) — every remap is fused, and the
+  compatibility fallback must never engage silently on the bundled
+  backends.  Traces of pure sample-sort runs (``algo.sample`` > 0, no
+  bitonic remaps) are exempt: sample sort fuses nothing by design;
 * records sample-sort runs (``algo.sample`` > 0) with fewer ``remaps``
   than runs (each run is exactly one splitter-driven redistribution) or
   without a ``merge`` span — a sample trace missing its p-way merge
   means the phase instrumentation silently stopped;
 * records group-scoped collectives with an inconsistent member tally
   (``coll.group_alltoallv`` > 0 but ``coll.group_size`` == 0, or a mean
-  group size outside ``2 .. ranks``);
-* claims overlapped collectives (``coll.overlapped`` > 0) but contains
-  no ``wait``/``complete`` span — a posted-but-never-waited pipeline
-  would mean the nonblocking schedule silently degenerated.
+  group size outside ``2 .. ranks``).
 
 Out-of-core traces (``algo.external`` > 0) must carry their own lane:
 ``spill`` spans for both the write and read sides, a ``merge/external``
@@ -54,15 +50,8 @@ lane checks above then applying.  Use it for traces produced under a
 memory budget that must have degraded to the external sort.
 
 With ``--bench BENCH.json`` it additionally gates the quick benchmark
-trajectory: for every backend, the fused+group variant must not be more
-than 25% slower than the unfused world-wide baseline
-(``*_fused_over_unfused`` >= 0.75), and (schema
-``repro-bitonic-bench/5``+) the overlapped pipeline must not be more
-than 10% slower than its synchronous twin (``*_overlap_over_sync`` >=
-0.9) — a silently-engaged fallback or an overlap regression shows up
-here even when outputs stay correct.  Schema ``repro-bitonic-bench/6``+
-trajectories must additionally carry the ``*_sample_over_bitonic``
-crossover tables (positive ratios; no floor — which algorithm wins is
+trajectory.  Schema ``repro-bitonic-bench/6``+ trajectories must carry
+the ``*_sample_over_bitonic`` crossover tables (positive ratios; no floor — which algorithm wins is
 the data).  Schema ``repro-bitonic-bench/7`` documents may instead (or
 additionally) carry an ``adapt_replay`` section, whose
 ``adapted_over_static`` ratio must be >= 1.0: the adapting service may
@@ -83,27 +72,14 @@ from repro.trace import CHROME_TRACE_SCHEMA
 
 REQUIRED_COUNTERS = ("remaps", "messages", "bytes_sent")
 
-#: Minimum acceptable fused-over-unfused speedup in the bench gate: the
-#: fused path may not be more than 25% slower than the baseline it
-#: replaced (guards against the compatibility fallback engaging
-#: silently while outputs stay byte-identical).
-BENCH_MIN_FUSED_SPEEDUP = 0.75
-
-#: Minimum acceptable overlap-over-sync speedup in the bench gate: the
-#: chunked nonblocking pipeline may not be more than 10% slower than its
-#: synchronous twin (guards against per-chunk overhead swamping the
-#: overlap, or the schedule silently falling back to sync and paying
-#: chunking for nothing).
-BENCH_MIN_OVERLAP_SPEEDUP = 0.9
-
 #: Floor on the adapt-replay ratio: the adapting service must match or
 #: beat the frozen-profile service on the recorded load (the feedback
 #: loop may never make routing worse).
 BENCH_MIN_ADAPTED_OVER_STATIC = 1.0
 
 
-def check(path: str, allow_unfused: bool = False,
-          expect_adapt: bool = False, expect_external: bool = False) -> list:
+def check(path: str, expect_adapt: bool = False,
+          expect_external: bool = False) -> list:
     errors = []
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -179,17 +155,15 @@ def check(path: str, allow_unfused: bool = False,
                     "zero — an external sort that spilled nothing"
                 )
     fused = counters.get("coll.fused", 0)
-    if not allow_unfused:
-        if not fused and not sample_runs and not external_runs:
-            errors.append(
-                "no coll.fused collectives — the default sort fuses every "
-                "remap (pass --allow-unfused for deliberately unfused runs)"
-            )
-        elif fused and not counters.get("coll.fused_direct"):
-            errors.append(
-                "every fused collective fell back off the zero-copy path "
-                "(coll.fused_direct == 0) — silent compatibility fallback"
-            )
+    if not fused and not sample_runs and not external_runs:
+        errors.append(
+            "no coll.fused collectives — the bitonic sort fuses every remap"
+        )
+    elif fused and not counters.get("coll.fused_direct"):
+        errors.append(
+            "every fused collective fell back off the zero-copy path "
+            "(coll.fused_direct == 0) — silent compatibility fallback"
+        )
     group_calls = counters.get("coll.group_alltoallv", 0)
     group_size = counters.get("coll.group_size", 0)
     if group_calls and not group_size:
@@ -204,22 +178,6 @@ def check(path: str, allow_unfused: bool = False,
                 f"mean group size {mean:.2f} outside 2 .. {ranks} — "
                 "Lemma-4 group derivation looks wrong"
             )
-    if counters.get("coll.overlapped", 0):
-        completes = sum(
-            1 for e in spans
-            if e.get("cat") == "wait" and e.get("name") == "complete"
-        )
-        if not completes:
-            errors.append(
-                f"{counters['coll.overlapped']} overlapped collectives "
-                "posted but no wait/complete span recorded — the "
-                "nonblocking pipeline never completed an op"
-            )
-        if not counters.get("coll.chunks"):
-            errors.append(
-                "coll.overlapped recorded without coll.chunks — the "
-                "overlapped remaps lost their chunk accounting"
-            )
     if expect_adapt and not counters.get("adapt.updates"):
         errors.append(
             "no adapt.updates counter — the traced request never reached "
@@ -229,7 +187,7 @@ def check(path: str, allow_unfused: bool = False,
 
 
 def check_bench(path: str) -> list:
-    """Gate a benchmark trajectory JSON (schema repro-bitonic-bench/3+)."""
+    """Gate a benchmark trajectory JSON (schema repro-bitonic-bench/6+)."""
     errors = []
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -265,38 +223,10 @@ def check_bench(path: str) -> list:
     if not has_end_to_end:
         return errors
     speedups = doc.get("end_to_end_speedup", {})
-    fused_tables = {
-        name: table
-        for name, table in speedups.items()
-        if name.endswith("_fused_over_unfused")
-    }
-    if not fused_tables:
-        errors.append(
-            "no *_fused_over_unfused speedup tables — bench predates the "
-            "fused/group variants (need schema repro-bitonic-bench/3)"
-        )
-    for name, table in fused_tables.items():
-        for size, ratio in table.items():
-            if ratio < BENCH_MIN_FUSED_SPEEDUP:
-                errors.append(
-                    f"{name}[{size}] = {ratio:.3f}x: fused+group more than "
-                    f"{(1 - BENCH_MIN_FUSED_SPEEDUP):.0%} slower than the "
-                    "unfused baseline (silent fallback or fusion regression)"
-                )
     try:
         schema_version = int(schema.rsplit("/", 1)[1])
     except (IndexError, ValueError):
         schema_version = 0
-    overlap_tables = {
-        name: table
-        for name, table in speedups.items()
-        if name.endswith("_overlap_over_sync")
-    }
-    if schema_version >= 5 and not overlap_tables:
-        errors.append(
-            "no *_overlap_over_sync speedup tables — schema "
-            f"{schema!r} promises the overlapped variant"
-        )
     # Schema /6+: the sample-vs-bitonic crossover tables must be present
     # and well-formed (positive ratios); no floor is imposed — which
     # algorithm wins is exactly what the table records.
@@ -332,14 +262,6 @@ def check_bench(path: str) -> list:
                 f"external_over_inmem[{size}] = {ratio!r}: crossover "
                 "ratios must be positive measured speedups"
             )
-    for name, table in overlap_tables.items():
-        for size, ratio in table.items():
-            if ratio < BENCH_MIN_OVERLAP_SPEEDUP:
-                errors.append(
-                    f"{name}[{size}] = {ratio:.3f}x: overlapped pipeline "
-                    f"more than {(1 - BENCH_MIN_OVERLAP_SPEEDUP):.0%} slower "
-                    "than its synchronous twin (overlap regression)"
-                )
     return errors
 
 
@@ -349,11 +271,7 @@ def main(argv) -> int:
     )
     parser.add_argument("traces", nargs="*", help="Chrome-trace JSON files")
     parser.add_argument("--bench", default=None,
-                        help="benchmark trajectory JSON to gate on the "
-                             "fused-over-unfused speedup floor")
-    parser.add_argument("--allow-unfused", action="store_true",
-                        help="skip the fused-collective requirement (for "
-                             "traces of deliberately unfused runs)")
+                        help="benchmark trajectory JSON to gate")
     parser.add_argument("--expect-adapt", action="store_true",
                         help="require a positive adapt.updates counter "
                              "(traces of an adapting service)")
@@ -366,8 +284,7 @@ def main(argv) -> int:
         return 2
     failed = False
     for path in args.traces:
-        errors = check(path, allow_unfused=args.allow_unfused,
-                       expect_adapt=args.expect_adapt,
+        errors = check(path, expect_adapt=args.expect_adapt,
                        expect_external=args.expect_external)
         if errors:
             failed = True
@@ -392,11 +309,7 @@ def main(argv) -> int:
                 bench_doc = json.load(fh)
             parts = []
             if bench_doc.get("end_to_end") or bench_doc.get("end_to_end_speedup"):
-                parts.append(
-                    f"fused+group within {BENCH_MIN_FUSED_SPEEDUP}x floor "
-                    f"of the unfused baseline; overlap within "
-                    f"{BENCH_MIN_OVERLAP_SPEEDUP}x floor of sync"
-                )
+                parts.append("crossover tables present and positive")
             if bench_doc.get("adapt_replay") is not None:
                 ratio = bench_doc["adapt_replay"].get("adapted_over_static")
                 parts.append(

@@ -52,7 +52,6 @@ disk evidence, the external sort) per request and runs the winner.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -194,24 +193,6 @@ def _resolve_algorithm(
     return algorithm
 
 
-def _merge_options_shim(options, backend_options):
-    """Fold the deprecated ``backend_options=`` spelling into
-    ``options=`` (one release of warning, same semantics)."""
-    if backend_options is None:
-        return options
-    if options is not None:
-        raise ConfigurationError(
-            "pass options= or the deprecated backend_options=, not both"
-        )
-    warnings.warn(
-        "sort(backend_options=...) is deprecated; "
-        "pass options=BackendOptions(...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return backend_options
-
-
 def sort(
     keys: np.ndarray,
     P: Optional[int] = None,
@@ -223,7 +204,6 @@ def sort(
     timeout: float = 120.0,
     verify: bool = True,
     options: Optional["BackendOptions"] = None,  # noqa: F821
-    backend_options: Optional["BackendOptions"] = None,  # noqa: F821
     service: Optional["SortService"] = None,  # noqa: F821 — forward ref
     memory_budget: Optional[int] = None,
 ) -> SortReport:
@@ -261,25 +241,16 @@ def sort(
         Check the output element-exactly against ``np.sort`` (on by
         default — the front door favours safety over benchmark purity).
     options:
-        :class:`~repro.runtime.driver.BackendOptions` tuning for the SPMD
-        backends.  Its ``fused`` / ``grouped`` fields (both on by
-        default) toggle the fused zero-copy remap collective and the
-        Lemma-4 group-scoped exchanges of the SPMD bitonic sort;
-        ``overlap`` / ``chunks`` (off by default) engage the chunked
-        nonblocking remap pipeline that hides transfer wait behind
-        unpack/merge work.  (Sample sort's single exchange ignores the
-        bitonic-pipeline flags.)
-    backend_options:
-        Deprecated spelling of ``options`` (kept one release with a
-        :class:`DeprecationWarning`; passing both is an error).
+        :class:`~repro.runtime.driver.BackendOptions` launch tuning for
+        the SPMD backends (``procs`` arena size and spin budget).
     service:
         A running :class:`~repro.service.SortService`.  When given, the
         call routes through the service's warm world pool instead of
         spawning a one-shot world: the explicitly-passed ``algorithm`` /
-        ``P`` / SPMD ``backend`` / ``options`` flags become forced
-        planner overrides, anything left unsaid (including
-        ``backend="simulated"``, which the service never runs) is the
-        planner's choice.
+        ``P`` / SPMD ``backend`` become forced planner overrides, anything
+        left unsaid (including ``backend="simulated"``, which the service
+        never runs) is the planner's choice.  ``options`` tunes a world's
+        launch, so it is rejected on a service-routed call.
     memory_budget:
         Working-set bound in bytes.  When the estimated in-memory
         working set of ``keys`` exceeds it, the call degrades to the
@@ -287,7 +258,6 @@ def sort(
         instead of allocating past the budget — the same degradation the
         service's admission applies.  ``None`` disables the check.
     """
-    options = _merge_options_shim(options, backend_options)
     if service is not None:
         return _sort_service(
             keys, P, algorithm, backend, trace, faults, verify,
@@ -322,7 +292,7 @@ def sort(
     if backend == "simulated":
         if options is not None:
             raise ConfigurationError(
-                "backend_options tune the SPMD backends; the simulated "
+                "backend options tune the SPMD backends; the simulated "
                 "machine takes none"
             )
         return _sort_simulated(keys, P, algorithm, trace, faults, verify)
@@ -458,19 +428,16 @@ def _sort_service(
         raise ConfigurationError(
             f"unknown sort backend {backend!r}; choose from {list(SORT_BACKENDS)}"
         )
-    fused = options.fused if options is not None else None
-    grouped = options.grouped if options is not None else None
-    overlap = options.overlap if options is not None else None
-    chunks = options.chunks if options is not None else None
+    if options is not None:
+        raise ConfigurationError(
+            "backend options tune a world's launch; a service's worlds "
+            "are already spawned — configure the service, not the request"
+        )
     outcome = service.sort(
         keys,
         algorithm=forced_algorithm,
         backend=forced_backend,
         P=P,
-        fused=fused,
-        grouped=grouped,
-        overlap=overlap,
-        chunks=chunks,
         faults=faults,
         trace=trace,
         memory_budget=memory_budget,
@@ -571,17 +538,6 @@ def _sort_spmd(
             )
         injector = FaultInjector(faults)
 
-    # Algorithm toggles ride in BackendOptions; None means "on" for
-    # fused/grouped but "off" for overlap (an opt-in, measured trade).
-    fused = options is None or options.fused is not False
-    grouped = options is None or options.grouped is not False
-    overlap = options is not None and options.overlap is True
-    chunks = (
-        options.chunks
-        if options is not None and options.chunks is not None
-        else 4
-    )
-
     def prog(comm):
         if trace:
             comm.tracer = Tracer(comm.rank)
@@ -593,14 +549,7 @@ def _sort_spmd(
         if algorithm == "sample":
             out = spmd_sample_sort(comm, shard)
         else:
-            out = spmd_bitonic_sort(
-                comm,
-                shard,
-                fused=fused,
-                grouped=grouped,
-                overlap=overlap,
-                chunks=chunks,
-            )
+            out = spmd_bitonic_sort(comm, shard)
         return out, comm.tracer
 
     start = time.perf_counter()

@@ -6,16 +6,12 @@ one):
 
 * **end-to-end** — the real SPMD sorts
   (:func:`~repro.runtime.spmd_bitonic_sort` and
-  :func:`~repro.runtime.spmd_sample_sort`) across runtime backends,
-  problem sizes, and variants (fused + group-scoped collectives, the
-  same run as the chunked nonblocking overlap pipeline, the unfused
-  world-wide baseline, and the splitter-driven sample sort),
-  cross-checking that every backend × variant produces byte-identical
-  output;
-* **kernel hot paths** — the local radix sort and the batched bitonic
-  merge, each timed against its *legacy* implementation (kept here,
-  verbatim, for honest A/B comparison), plus cold-vs-cached remap-plan
-  construction;
+  :func:`~repro.runtime.spmd_sample_sort`) across runtime backends and
+  problem sizes, cross-checking that every backend × algorithm produces
+  byte-identical output;
+* **kernel hot paths** — the paper's local radix sort and batched
+  bitonic merge, each timed against ``np.sort`` on the same input (the
+  yardstick), plus cold-vs-cached remap-plan construction;
 * **per-phase breakdown** — one extra *traced* (untimed) run per backend
   and size attaches exclusive per-category µs and the world-summed trace
   counters to each end-to-end record, so a perf PR can claim it moved a
@@ -47,7 +43,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.layouts.schedule import smart_schedule
 from repro.localsort.bitonic_merge_sort import batched_bitonic_merge
-from repro.localsort.radix import num_passes, radix_sort
+from repro.localsort.radix import radix_sort
 from repro.remap.cache import RemapPlanCache
 from repro.remap.plan import build_remap_plan
 from repro.runtime import run_spmd, spmd_bitonic_sort, spmd_sample_sort
@@ -57,14 +53,13 @@ from repro.utils.rng import make_keys
 __all__ = ["run_bench", "write_bench", "BENCH_SCHEMA"]
 
 #: /2 added the per-record ``phases`` + ``trace_counters`` breakdown;
-#: /3 added the per-record communication ``variant`` (``fused`` /
-#: ``grouped`` flags) and the ``fused_over_unfused`` speedup table;
+#: /3 added the per-record communication ``variant`` and the
+#: ``fused_over_unfused`` speedup table;
 #: /4 added the ``service`` section: warm-pool vs cold-spawn latency per
 #: backend and size (with a candidate-P sweep), the ``warm_over_cold``
 #: speedup table, and the planner-vs-measured ``planner_matches`` tally;
-#: /5 added the overlapped-communication variant (``overlap`` /
-#: ``chunks`` flags, per-record measured ``wait_split``) and the
-#: ``overlap_over_sync`` speedup tables;
+#: /5 added the overlapped-communication variant, the per-record
+#: measured ``wait_split`` and the ``overlap_over_sync`` speedup tables;
 #: /6 added the per-record ``algorithm`` field, the SPMD sample-sort
 #: variant, the ``sample_over_bitonic`` crossover tables, and the
 #: service section's cross-algorithm planner audit;
@@ -78,67 +73,20 @@ __all__ = ["run_bench", "write_bench", "BENCH_SCHEMA"]
 #: external sort timed at budgets forcing 1 and several merge passes,
 #: against the unconstrained in-memory local sort on the same keys) and
 #: the ``external_over_inmem`` crossover table CI checks for presence and
-#: positivity — where spilling starts to pay is the data, not a floor.
-BENCH_SCHEMA = "repro-bitonic-bench/8"
+#: positivity — where spilling starts to pay is the data, not a floor;
+#: /9 dropped the communication variants with the code paths they timed
+#: (one record per backend × algorithm; no ``variant``/``fused``/
+#: ``grouped``/``overlap``/``chunks`` fields, no ``fused_over_unfused``
+#: or ``overlap_over_sync`` tables) and re-based the kernel records on
+#: ``np.sort`` instead of the removed legacy kernels.
+BENCH_SCHEMA = "repro-bitonic-bench/9"
 
 #: World sizes the service section sweeps when measuring warm latency
 #: (and the planner's candidate set for the match tally).
 SERVICE_CANDIDATE_P = (1, 2, 4)
 
-#: Chunks per overlapped remap in the overlap variant (the sort's own
-#: default; the per-chunk 64-element clamp still applies).
-BENCH_CHUNKS = 4
-
-#: The variants every backend is benchmarked under
-#: (``name, algorithm, fused, grouped, overlap``): the default fused +
-#: group-scoped synchronous bitonic path, the same path run as the
-#: chunked nonblocking pipeline, the unfused world-wide baseline both
-#: replaced, and the splitter-driven sample sort (one redistribution;
-#: the bitonic schedule flags do not apply to it).
-BENCH_VARIANTS = (
-    ("fused+group", "smart", True, True, False),
-    ("overlap+chunked", "smart", True, True, True),
-    ("unfused+world", "smart", False, False, False),
-    ("sample", "sample", True, True, False),
-)
-
-
-# -- legacy kernels, kept verbatim for A/B ---------------------------------
-
-
-def _legacy_radix_sort(keys, *, ascending=True, key_bits=32, radix_bits=8):
-    """The pre-optimization radix sort: stable ``argsort`` per digit."""
-    out = keys.copy()
-    digit_mask = (1 << radix_bits) - 1
-    for p in range(num_passes(key_bits, radix_bits)):
-        shift = p * radix_bits
-        digit = (out >> shift) & out.dtype.type(digit_mask)
-        out = out[np.argsort(digit, kind="stable")]
-    if not ascending:
-        out = out[::-1].copy()
-    return out
-
-
-def _legacy_batched_merge(m, ascending, axis=1):
-    """The pre-optimization batched merge: transposes (full copies) around
-    the butterfly for ``axis=0``."""
-    work = m.T.copy() if axis == 0 else m.copy()
-    lanes, length = work.shape
-    asc = np.broadcast_to(np.asarray(ascending, dtype=bool), (lanes,))
-    asc_col = asc[:, None]
-    size = length
-    while size > 1:
-        half = size // 2
-        blocks = work.reshape(lanes, length // size, size)
-        lo = blocks[:, :, :half]
-        hi = blocks[:, :, half:]
-        small = np.minimum(lo, hi)
-        big = np.maximum(lo, hi)
-        asc_blk = asc_col[:, :, None]
-        lo[...] = np.where(asc_blk, small, big)
-        hi[...] = np.where(asc_blk, big, small)
-        size = half
-    return work.T.copy() if axis == 0 else work
+#: The SPMD algorithms every backend is benchmarked under.
+BENCH_ALGORITHMS = ("smart", "sample")
 
 
 # -- timing ----------------------------------------------------------------
@@ -172,35 +120,26 @@ def _bench_end_to_end(
         keys = make_keys(N, seed=N % 104729)
         n = N // procs
 
-        def rank_sort(c, algorithm, fused, grouped, overlap):
+        def rank_sort(c, algorithm):
             shard = keys[c.rank * n : (c.rank + 1) * n]
             if algorithm == "sample":
                 return spmd_sample_sort(c, shard)
-            return spmd_bitonic_sort(
-                c, shard, fused=fused, grouped=grouped,
-                overlap=overlap, chunks=BENCH_CHUNKS,
-            )
+            return spmd_bitonic_sort(c, shard)
 
-        def sort_on(
-            backend: str, algorithm: str, fused: bool, grouped: bool,
-            overlap: bool,
-        ) -> np.ndarray:
+        def sort_on(backend: str, algorithm: str) -> np.ndarray:
             def prog(c):
-                return rank_sort(c, algorithm, fused, grouped, overlap)
+                return rank_sort(c, algorithm)
 
             return np.concatenate(
                 run_spmd(procs, prog, backend=backend, timeout=timeout)
             )
 
-        def traced_phases(
-            backend: str, algorithm: str, fused: bool, grouped: bool,
-            overlap: bool,
-        ) -> Dict[str, Any]:
+        def traced_phases(backend: str, algorithm: str) -> Dict[str, Any]:
             # One separate traced run; the timed reps above stay untraced
             # so the span bookkeeping can never contaminate the timings.
             def prog(c):
                 c.tracer = Tracer(c.rank)
-                rank_sort(c, algorithm, fused, grouped, overlap)
+                rank_sort(c, algorithm)
                 return c.tracer
 
             tracers = run_spmd(procs, prog, backend=backend, timeout=timeout)
@@ -214,42 +153,23 @@ def _bench_end_to_end(
                 },
             }
 
-        reference: Optional[bytes] = None
+        expect = np.sort(keys).tobytes()
         for backend in backends:
-            for variant, algorithm, fused, grouped, overlap in BENCH_VARIANTS:
-                output = sort_on(backend, algorithm, fused, grouped, overlap)
-                if reference is None:
-                    reference = output.tobytes()
-                    if reference != np.sort(keys).tobytes():
-                        raise ConfigurationError(
-                            f"bench: backend {backend!r} [{variant}] "
-                            f"mis-sorted {N} keys"
-                        )
-                elif output.tobytes() != reference:
+            for algorithm in BENCH_ALGORITHMS:
+                if sort_on(backend, algorithm).tobytes() != expect:
                     raise ConfigurationError(
-                        f"bench: backend {backend!r} [{variant}] output "
-                        f"differs from the reference on {N} keys x "
-                        f"{procs} ranks"
+                        f"bench: backend {backend!r} [{algorithm}] "
+                        f"mis-sorted {N} keys x {procs} ranks"
                     )
-                timing = _time(
-                    lambda: sort_on(backend, algorithm, fused, grouped,
-                                    overlap),
-                    reps,
-                )
+                timing = _time(lambda: sort_on(backend, algorithm), reps)
                 records.append(
                     {
                         "backend": backend,
-                        "variant": variant,
                         "algorithm": algorithm,
-                        "fused": fused,
-                        "grouped": grouped,
-                        "overlap": overlap,
-                        "chunks": BENCH_CHUNKS if overlap else 1,
                         "keys": N,
                         "procs": procs,
                         **timing,
-                        **traced_phases(backend, algorithm, fused, grouped,
-                                        overlap),
+                        **traced_phases(backend, algorithm),
                     }
                 )
     return records
@@ -259,15 +179,15 @@ def _bench_kernels(sizes: Sequence[int], reps: int) -> Dict[str, Any]:
     out: Dict[str, Any] = {"radix": [], "merge": [], "plan": []}
     for N in sizes:
         keys = make_keys(N, seed=N % 104729)
-        legacy = _time(lambda: _legacy_radix_sort(keys), reps)
+        np.testing.assert_array_equal(radix_sort(keys), np.sort(keys))
+        npsort = _time(lambda: np.sort(keys), reps)
         current = _time(lambda: radix_sort(keys), reps)
-        np.testing.assert_array_equal(radix_sort(keys), _legacy_radix_sort(keys))
         out["radix"].append(
             {
                 "keys": N,
-                "legacy_argsort": legacy,
-                "counting_scatter": current,
-                "speedup": legacy["best_s"] / current["best_s"],
+                "np_sort": npsort,
+                "radix_sort": current,
+                "over_npsort": current["best_s"] / npsort["best_s"],
             }
         )
         # Column-lane merge on a square-ish power-of-two matrix: the shape
@@ -278,18 +198,17 @@ def _bench_kernels(sizes: Sequence[int], reps: int) -> Dict[str, Any]:
             make_keys(lanes * length, seed=N % 7919).reshape(length, lanes), axis=0
         )[::-1]  # descending columns are (trivially) bitonic
         np.testing.assert_array_equal(
-            batched_bitonic_merge(mat, True, axis=0),
-            _legacy_batched_merge(mat, True, axis=0),
+            batched_bitonic_merge(mat, True, axis=0), np.sort(mat, axis=0)
         )
-        legacy = _time(lambda: _legacy_batched_merge(mat, True, axis=0), reps)
+        npsort = _time(lambda: np.sort(mat, axis=0), reps)
         current = _time(lambda: batched_bitonic_merge(mat, True, axis=0), reps)
         out["merge"].append(
             {
                 "shape": [length, lanes],
                 "axis": 0,
-                "legacy_two_copies": legacy,
-                "single_copy": current,
-                "speedup": legacy["best_s"] / current["best_s"],
+                "np_sort": npsort,
+                "batched_bitonic_merge": current,
+                "over_npsort": current["best_s"] / npsort["best_s"],
             }
         )
         # Plan construction: a fresh build per phase/rank vs a warm cache.
@@ -587,64 +506,31 @@ def run_bench(
     service["algorithms"] = _bench_algorithms(sizes, backends, reps, timeout)
     external = _bench_external(sizes, reps)
     speedups: Dict[str, Dict[str, float]] = {}
-    default_variant = BENCH_VARIANTS[0][0]
+
+    def best(backend: str, algorithm: str) -> Dict[int, float]:
+        return {
+            r["keys"]: r["best_s"] for r in end_to_end
+            if r["backend"] == backend and r["algorithm"] == algorithm
+        }
+
     if "threads" in backends:
-        threads_best = {
-            r["keys"]: r["best_s"]
-            for r in end_to_end
-            if r["backend"] == "threads" and r["variant"] == default_variant
-        }
+        threads_best = best("threads", "smart")
         for backend in backends:
-            if backend == "threads":
-                continue
-            speedups[f"{backend}_over_threads"] = {
-                str(r["keys"]): threads_best[r["keys"]] / r["best_s"]
-                for r in end_to_end
-                if r["backend"] == backend and r["variant"] == default_variant
-            }
-    # The fused A/B: fused+group against the unfused world-wide
-    # baseline, per backend and size.
-    for backend in backends:
-        unfused_best = {
-            r["keys"]: r["best_s"]
-            for r in end_to_end
-            if r["backend"] == backend and r["variant"] == "unfused+world"
-        }
-        speedups[f"{backend}_fused_over_unfused"] = {
-            str(r["keys"]): unfused_best[r["keys"]] / r["best_s"]
-            for r in end_to_end
-            if r["backend"] == backend and r["variant"] == default_variant
-        }
-    # The overlap A/B: the chunked nonblocking pipeline against its own
-    # synchronous twin (same fused+group flags), per backend and size —
-    # > 1 means the pipeline hid transfer wait, < 1 means the per-chunk
-    # overhead won.
-    for backend in backends:
-        sync_best = {
-            r["keys"]: r["best_s"]
-            for r in end_to_end
-            if r["backend"] == backend and r["variant"] == default_variant
-        }
-        speedups[f"{backend}_overlap_over_sync"] = {
-            str(r["keys"]): sync_best[r["keys"]] / r["best_s"]
-            for r in end_to_end
-            if r["backend"] == backend and r["variant"] == "overlap+chunked"
-        }
-    # The algorithm crossover: the sample sort against the default
-    # bitonic path, per backend and size — > 1 where one splitter-driven
+            if backend != "threads":
+                speedups[f"{backend}_over_threads"] = {
+                    str(N): threads_best[N] / s
+                    for N, s in best(backend, "smart").items()
+                }
+    # The algorithm crossover: the sample sort against the bitonic sort,
+    # per backend and size — > 1 where one splitter-driven
     # redistribution beats the bitonic remap sequence, < 1 where the
     # sampling overhead wins.  This is the measured twin of
     # repro.theory.crossover_keys_per_proc.
     for backend in backends:
-        bitonic_best = {
-            r["keys"]: r["best_s"]
-            for r in end_to_end
-            if r["backend"] == backend and r["variant"] == default_variant
-        }
+        bitonic_best = best(backend, "smart")
         speedups[f"{backend}_sample_over_bitonic"] = {
-            str(r["keys"]): bitonic_best[r["keys"]] / r["best_s"]
-            for r in end_to_end
-            if r["backend"] == backend and r["variant"] == "sample"
+            str(N): bitonic_best[N] / s
+            for N, s in best(backend, "sample").items()
         }
     return {
         "schema": BENCH_SCHEMA,

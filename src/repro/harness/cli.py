@@ -22,8 +22,8 @@ Python:
     is the simulator-side counterpart.
 ``repro-bitonic bench [--quick] [--out BENCH.json]``
     Time the real SPMD sort end-to-end across runtime backends (threads
-    vs processes) and the kernel hot paths against their legacy
-    implementations, verify cross-backend byte-identity, and write the
+    vs processes) and the kernel hot paths against ``np.sort``, verify
+    cross-backend byte-identity, and write the
     machine-readable benchmark trajectory JSON (now with per-phase
     breakdowns from a traced companion run per backend).
 ``repro-bitonic serve --requests 200 --worlds 2``
@@ -235,16 +235,6 @@ def _cmd_trace(args) -> int:
     from repro.utils.rng import make_keys
 
     keys = make_keys(args.keys, distribution=args.distribution, seed=args.seed)
-    options = None
-    if args.no_fused or args.no_group or args.overlap:
-        from repro.runtime import BackendOptions
-
-        options = BackendOptions(
-            fused=False if args.no_fused else None,
-            grouped=False if args.no_group else None,
-            overlap=True if args.overlap else None,
-            chunks=args.chunks if args.overlap else None,
-        )
     try:
         report = sort(
             keys,
@@ -253,7 +243,6 @@ def _cmd_trace(args) -> int:
             backend=args.backend,
             trace=True,
             timeout=args.timeout,
-            options=options,
         )
     except ReproError as exc:
         print(f"trace failed: {exc}", file=sys.stderr)
@@ -293,7 +282,7 @@ def _cmd_bench(args) -> int:
     print(f"  host: {host['cpu_count']} usable cores, numpy {host['numpy']}")
     for rec in payload["end_to_end"]:
         line = (f"  end-to-end {rec['backend']:>7} "
-                f"[{rec.get('variant', 'default'):>13}] "
+                f"[{rec['algorithm']:>6}] "
                 f"{rec['keys']:>9,} keys "
                 f"x {rec['procs']} ranks: {rec['best_s'] * 1e3:8.1f} ms best")
         phases = rec.get("phases") or {}
@@ -307,10 +296,13 @@ def _cmd_bench(args) -> int:
     for name, by_size in payload["end_to_end_speedup"].items():
         pretty = ", ".join(f"{int(k):,}: {v:.2f}x" for k, v in by_size.items())
         print(f"  speedup {name}: {pretty}")
-    for kind in ("radix", "merge", "plan"):
+    for kind in ("radix", "merge"):
         for rec in payload["kernels"][kind]:
             print(f"  kernel {kind:>5} {rec.get('keys', rec.get('shape'))}: "
-                  f"{rec['speedup']:.2f}x vs legacy")
+                  f"{rec['over_npsort']:.2f}x np.sort")
+    for rec in payload["kernels"]["plan"]:
+        print(f"  kernel  plan {rec['keys']}: "
+              f"{rec['speedup']:.2f}x cached over rebuilt")
     service = payload.get("service", {})
     for backend, by_size in service.get("warm_over_cold", {}).items():
         pretty = ", ".join(f"{int(k):,}: {v:.2f}x" for k, v in by_size.items())
@@ -369,8 +361,7 @@ def _cmd_adapt_replay(args) -> int:
         print(f"           [{mix}]")
     adapt = ar["adapted"].get("adapt", {})
     print(f"  adapter: {adapt.get('updates', 0)} updates, "
-          f"factors {adapt.get('factors', {})}, "
-          f"overlap eff {adapt.get('overlap_efficiency', {})}")
+          f"factors {adapt.get('factors', {})}")
     print(f"  adapted_over_static: {ratio:.3f}x "
           f"(gate: >= {args.min_ratio})")
     if ratio < args.min_ratio:
@@ -381,15 +372,14 @@ def _cmd_adapt_replay(args) -> int:
 
 
 def _service_planner(profile_path):
-    """A Planner for the CLI service commands: calibrated profile when
-    one is given (or the default path exists), bench history when any
-    ``BENCH_pr*.json`` is nearby."""
-    from repro.service import BenchHistory, HostProfile, Planner
+    """A Planner for the CLI service commands: the calibrated profile
+    when one is given, the built-in default otherwise."""
+    from repro.service import HostProfile, Planner
 
     profile = None
     if profile_path:
         profile = HostProfile.load(profile_path)
-    return Planner(profile=profile, history=BenchHistory.load())
+    return Planner(profile=profile)
 
 
 def _shm_segments() -> set:
@@ -1018,8 +1008,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--procs", type=int, default=4)
     p_trace.add_argument("--algorithm", default="smart",
                          choices=("smart", "sample"),
-                         help="SPMD sort to trace (sample ignores the "
-                              "fused/group/overlap flags)")
+                         help="SPMD sort to trace")
     p_trace.add_argument("--backend", default="threads",
                          choices=("threads", "procs"),
                          help="SPMD runtime backend to trace")
@@ -1028,17 +1017,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--distribution", default="uniform")
     p_trace.add_argument("--seed", type=int, default=0)
     p_trace.add_argument("--timeout", type=float, default=120.0)
-    p_trace.add_argument("--no-fused", action="store_true",
-                         help="disable the fused pack/transfer/unpack "
-                              "collective (run the classic 3-phase remap)")
-    p_trace.add_argument("--no-group", action="store_true",
-                         help="disable Lemma-4 group-scoped exchanges "
-                              "(every remap synchronizes the whole world)")
-    p_trace.add_argument("--overlap", action="store_true",
-                         help="run each remap as the chunked nonblocking "
-                              "pipeline (overlap transfer with unpack/merge)")
-    p_trace.add_argument("--chunks", type=int, default=4,
-                         help="chunks per overlapped remap (with --overlap)")
     p_trace.set_defaults(fn=_cmd_trace)
 
     p_serve = sub.add_parser(

@@ -11,7 +11,7 @@ computation and the per-call ``sorted()`` of the send lists again.
 :class:`~repro.layouts.base.BitFieldLayout`'s value hash — so two
 schedules that derive *equal* layouts share plans even across runs and
 backends.  The cached plan also carries its derived views
-(``send_sorted``, ``recv_concat``) computed at most once.
+(``send_sorted``, ``send_concat_src``, ...) computed at most once.
 
 The default process-wide cache is what :func:`cached_remap_plan` uses;
 both :func:`repro.remap.exchange.perform_remap` and
@@ -70,7 +70,7 @@ class RemapPlanCache:
         # duplicate build for the same key is benign (plans are immutable).
         plan = build_remap_plan(old, new, rank)
         # Materialize the derived views once, while the plan is cold.
-        plan.send_sorted, plan.recv_concat  # noqa: B018 — priming caches
+        plan.send_sorted, plan.recv_sorted  # noqa: B018 — priming caches
         plan.send_concat_src, plan.send_extents  # noqa: B018 — fused views
         with self._lock:
             self._plans[key] = plan

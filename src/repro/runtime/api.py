@@ -22,16 +22,6 @@ paper's algorithms:
   through the plan's indices into the transport, scatter arrivals straight
   into ``out`` — no intermediate bucket arrays on a backend's fast path.
 
-Each collective also has a **nonblocking** post/complete spelling —
-``ialltoallv`` / ``igroup_alltoallv`` / ``isendrecv`` /
-``ialltoallv_fused`` — returning a :class:`PendingOp` handle with
-``test()`` / ``wait()``, mirroring MPI's ``Ialltoallv``/``Request``
-pairs.  Posting publishes this rank's outgoing data immediately and
-returns; completion (the matching data movement and any synchronization)
-happens inside ``wait()``.  That split is what lets the sort overlap the
-unpack/merge of one remap chunk with the in-flight transfer of the next
-(the chunked schedule of :func:`repro.runtime.bitonic_spmd.spmd_bitonic_sort`).
-
 An implementation over ``mpi4py`` maps each method to its MPI namesake
 (``group_alltoallv`` to an ``alltoallv`` on a split communicator,
 ``alltoallv_fused`` to ``alltoallw`` with derived datatypes); the
@@ -39,11 +29,7 @@ in-process :class:`~repro.runtime.threads.ThreadComm` implements them with
 shared memory and barriers.  The group/fused methods carry default
 implementations composed from :meth:`Comm.alltoallv`, so wrappers such as
 :class:`~repro.faults.transport.ReliableComm` stay correct automatically —
-they just do not get the zero-copy fast path.  The same composition rule
-covers the nonblocking methods: the defaults run the blocking collective
-eagerly and hand back an already-complete :class:`PendingOp`, so any
-wrapper supports the nonblocking interface, just without actual overlap —
-callers that *need* overlap check :attr:`Comm.overlap_capable` first.
+they just do not get the zero-copy fast path.
 """
 
 from __future__ import annotations
@@ -57,68 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover — avoid a runtime->trace import cycle
     from repro.remap.plan import RemapPlan
     from repro.trace.recorder import Tracer
 
-__all__ = ["Comm", "PendingOp"]
-
-
-class PendingOp:
-    """Handle for one posted nonblocking collective.
-
-    ``wait()`` blocks until the operation completes and returns its result
-    (what the blocking spelling would have returned; ``None`` for fused
-    collectives, which scatter into the caller's buffer).  ``test()``
-    reports, without blocking, whether ``wait()`` would return
-    immediately.  ``wait()`` is idempotent — repeated calls return the
-    same result.
-
-    Every posted op **must** be waited before the rank's job ends: the
-    worlds' workers treat a nonzero :meth:`Comm.pending_ops` count at job
-    exit as a job failure (a leaked op leaves peers' data undrained and
-    would corrupt the next job's collective sequence).
-    """
-
-    __slots__ = ("_comm", "_done", "_result")
-
-    def __init__(self, comm: "Comm"):
-        self._comm = comm
-        self._done = False
-        self._result: Any = None
-        comm._op_posted()
-
-    def test(self) -> bool:
-        """True when :meth:`wait` would return without blocking."""
-        return self._done or self._ready()
-
-    def wait(self) -> Any:
-        """Complete the operation; return its result (idempotent)."""
-        if not self._done:
-            result = self._complete()
-            self._done = True
-            self._result = result
-            self._comm._op_done()
-        return self._result
-
-    # -- substrate hooks ----------------------------------------------
-
-    def _ready(self) -> bool:
-        """Non-blocking completion probe; overridden by real backends."""
-        return True
-
-    def _complete(self) -> Any:
-        raise NotImplementedError  # pragma: no cover — abstract
-
-
-class _CompletedOp(PendingOp):
-    """The composed default: the blocking collective already ran, this
-    handle merely carries its result.  Keeps wrappers (fault transports)
-    correct under the nonblocking interface without real overlap."""
-
-    __slots__ = ()
-
-    def __init__(self, comm: "Comm", result: Any):
-        super().__init__(comm)
-        self._done = True
-        self._result = result
-        comm._op_done()
+__all__ = ["Comm"]
 
 
 class Comm(ABC):
@@ -140,35 +65,6 @@ class Comm(ABC):
     #: zero-allocation no-op branch.  Assign it on the rank's communicator
     #: before the algorithm runs (``comm.tracer = Tracer(comm.rank)``).
     tracer: Optional["Tracer"] = None
-    #: Whether the nonblocking collectives genuinely overlap: posting
-    #: returns before the data movement completes.  ``False`` here (and on
-    #: wrappers such as the fault transport, which inherit it) means the
-    #: ``i*`` methods run eagerly via the composed defaults — correct, but
-    #: with nothing in flight.  Schedules that *pipeline* on pending ops
-    #: (the chunked remap) check this and fall back to their synchronous
-    #: path rather than pay chunking overhead for no overlap.
-    overlap_capable: bool = False
-    #: Posted-but-unwaited nonblocking ops (leak accounting; see
-    #: :class:`PendingOp`).  Class-level default so implementations need
-    #: not cooperate in ``__init__``.
-    _pending_ops: int = 0
-
-    # -- pending-op accounting ----------------------------------------
-
-    def _op_posted(self) -> None:
-        self._pending_ops = self._pending_ops + 1
-
-    def _op_done(self) -> None:
-        self._pending_ops = self._pending_ops - 1
-
-    def pending_ops(self) -> int:
-        """Posted nonblocking ops not yet waited on this communicator.
-
-        The persistent worlds check this after every job and fail the job
-        on a leak — an unwaited op leaves peers undrained and poisons the
-        world's collective sequence."""
-        return self._pending_ops
-
     @abstractmethod
     def barrier(self) -> None:
         """Block until every rank has entered the barrier."""
@@ -329,50 +225,3 @@ class Comm(ABC):
                     f"rank {self.rank}: unexpected payload of "
                     f"{payload.size} keys from rank {p}"
                 )
-
-    # -- nonblocking post/complete pairs --------------------------------
-
-    def ialltoallv(
-        self, buckets: Sequence[Optional[np.ndarray]]
-    ) -> PendingOp:
-        """Nonblocking :meth:`alltoallv`; ``wait()`` returns ``received``.
-
-        This composed default runs the blocking collective eagerly and
-        returns an already-complete handle — correct for any communicator
-        (wrappers included), with no overlap.  Backends with
-        :attr:`overlap_capable` substrates override it with a genuine
-        post/complete split.
-        """
-        return _CompletedOp(self, self.alltoallv(buckets))
-
-    def igroup_alltoallv(
-        self,
-        buckets: Sequence[Optional[np.ndarray]],
-        group: Sequence[int],
-    ) -> PendingOp:
-        """Nonblocking :meth:`group_alltoallv` (same default composition
-        rule as :meth:`ialltoallv`)."""
-        return _CompletedOp(self, self.group_alltoallv(buckets, group))
-
-    def isendrecv(
-        self, send: Optional[np.ndarray], dst: int, src: int
-    ) -> PendingOp:
-        """Nonblocking :meth:`sendrecv`; ``wait()`` returns the payload
-        received from ``src`` (same default composition rule as
-        :meth:`ialltoallv`)."""
-        return _CompletedOp(self, self.sendrecv(send, dst, src))
-
-    def ialltoallv_fused(
-        self,
-        data: np.ndarray,
-        plan: "RemapPlan",
-        out: np.ndarray,
-        group: Optional[Sequence[int]] = None,
-    ) -> PendingOp:
-        """Nonblocking :meth:`alltoallv_fused`; arrivals are scattered
-        into ``out`` by the time ``wait()`` returns (``wait()`` itself
-        returns ``None``).  Senders must not mutate ``data`` before the
-        op completes.  Same default composition rule as
-        :meth:`ialltoallv`."""
-        self.alltoallv_fused(data, plan, out, group=group)
-        return _CompletedOp(self, None)

@@ -19,15 +19,11 @@ against the same :class:`~repro.runtime.api.Comm` interface, results come
 back indexed by rank, the first rank failure is re-raised in the caller,
 and one wall-clock ``timeout`` bounds the whole world.
 
-Backend tuning lives in one typed :class:`BackendOptions` dataclass
-rather than loose keyword arguments; the old ``**options`` spelling
-(``run_spmd(..., arena_bytes=...)``) still works for one release but
-warns with :class:`DeprecationWarning`.
+Backend tuning lives in one typed :class:`BackendOptions` dataclass.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields
 from typing import Any, Callable, List, Optional
 
@@ -41,22 +37,13 @@ __all__ = ["BackendOptions", "run_spmd", "spawn_world", "BACKENDS"]
 BACKENDS = ("threads", "procs")
 
 
-#: Fields consumed by the sort layer (:func:`repro.api.sort` /
-#: :func:`repro.runtime.bitonic_spmd.spmd_bitonic_sort`), not by the
-#: world launcher — valid on every backend.
-_ALGO_FIELDS = ("fused", "grouped", "overlap", "chunks")
-
-
 @dataclass(frozen=True)
 class BackendOptions:
     """Typed tuning knobs for the SPMD backends.
 
-    Every field defaults to "backend decides"; *launch* fields that only
-    apply to one backend are rejected elsewhere (the threads backend
-    takes no launch tuning at all, so any set launch field raises there —
-    same behaviour the old loose-kwargs interface had).  The *algorithm*
-    fields (``fused``, ``grouped``, ``overlap``, ``chunks``) tune the
-    sort running on top and are accepted on every SPMD backend.
+    Every field defaults to "backend decides".  Both fields tune the
+    ``procs`` launcher; the threads backend takes no launch tuning, so a
+    set field raises there.
 
     Attributes
     ----------
@@ -70,43 +57,14 @@ class BackendOptions:
         oversubscribed hosts; the backend defaults it from the core
         count, and :class:`repro.service.profile.HostProfile` can carry a
         calibrated value).
-    fused:
-        Route each remap through the fused pack/transfer/unpack
-        collective (:meth:`repro.runtime.api.Comm.alltoallv_fused`) —
-        zero-copy on the backends' raw-ndarray fast paths, compatibility
-        fallback elsewhere.  Default (``None``) means **on**.
-    grouped:
-        Scope each remap exchange to its Lemma-4 communication group of
-        ``2**N_BitsChanged`` ranks instead of the world.  Default
-        (``None``) means **on**.
-    overlap:
-        Run each remap as a chunked pipeline over the nonblocking
-        collectives, overlapping unpack/merge of one chunk with the
-        in-flight transfer of the next.  Default (``None``) means **off**
-        — deliberately the opposite polarity of ``fused``/``grouped``:
-        overlap is a measured trade (pipelining overhead vs hidden
-        transfer wait) that the service planner prices per host, so it is
-        opt-in rather than presumed.
-    chunks:
-        Chunks per overlapped remap (default 4 when ``overlap`` is on;
-        the sort clamps so chunks never drop below 64 elements).
     """
 
     arena_bytes: Optional[int] = None
     spin_budget: Optional[int] = None
-    fused: Optional[bool] = None
-    grouped: Optional[bool] = None
-    overlap: Optional[bool] = None
-    chunks: Optional[int] = None
 
     def set_fields(self) -> List[str]:
         """Names of the fields explicitly set (non-``None``)."""
         return [f.name for f in fields(self) if getattr(self, f.name) is not None]
-
-    def set_launch_fields(self) -> List[str]:
-        """Set fields the world launcher itself consumes (algorithm
-        fields excluded)."""
-        return [f for f in self.set_fields() if f not in _ALGO_FIELDS]
 
 
 def run_spmd(
@@ -115,40 +73,16 @@ def run_spmd(
     timeout: float = 120.0,
     backend: str = "threads",
     options: Optional[BackendOptions] = None,
-    **legacy_options: Any,
 ) -> List[Any]:
     """Run ``fn(comm)`` on ``size`` ranks of the chosen backend.
 
-    ``options`` carries backend tuning (:class:`BackendOptions`).  Extra
-    keyword arguments are the deprecated loose spelling of the same
-    fields — they warn, then fold into ``options``.  Returns the per-rank
-    results, indexed by rank.
+    ``options`` carries backend tuning (:class:`BackendOptions`).
+    Returns the per-rank results, indexed by rank.
     """
-    if legacy_options:
-        known = {f.name for f in fields(BackendOptions)}
-        unknown = sorted(set(legacy_options) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown run_spmd option(s) {unknown}; "
-                f"BackendOptions accepts {sorted(known)}"
-            )
-        warnings.warn(
-            "passing backend options to run_spmd as loose keyword arguments "
-            f"({sorted(legacy_options)}) is deprecated; pass "
-            "options=BackendOptions(...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if options is not None:
-            raise ConfigurationError(
-                "pass backend options either as BackendOptions or as legacy "
-                "keywords, not both"
-            )
-        options = BackendOptions(**legacy_options)
     options = options or BackendOptions()
 
     if backend == "threads":
-        set_fields = options.set_launch_fields()
+        set_fields = options.set_fields()
         if set_fields:
             raise ConfigurationError(
                 f"threads backend takes no extra options, got {set_fields}"
@@ -186,13 +120,11 @@ def spawn_world(
     swept at interpreter exit.
 
     ``options`` carries the same launch tuning :func:`run_spmd` accepts
-    (``arena_bytes``, ``spin_budget`` on procs); the algorithm fields
-    (``fused``, ``grouped``, ``overlap``, ``chunks``) are per-job
-    concerns and are ignored here.
+    (``arena_bytes``, ``spin_budget`` on procs).
     """
     options = options or BackendOptions()
     if backend == "threads":
-        set_fields = options.set_launch_fields()
+        set_fields = options.set_fields()
         if set_fields:
             raise ConfigurationError(
                 f"threads backend takes no extra options, got {set_fields}"

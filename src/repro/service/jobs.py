@@ -26,12 +26,8 @@ __all__ = ["sort_shards_job", "noop_job", "echo_nbytes_job", "pingpong_job"]
 def sort_shards_job(
     comm,
     shards: Sequence[np.ndarray],
-    fused: bool,
-    grouped: bool,
     trace: bool,
     injector: Optional[Any] = None,
-    overlap: bool = False,
-    chunks: int = 4,
     algorithm: str = "smart",
 ) -> Tuple[List[np.ndarray], List[Optional[Tracer]]]:
     """Run one batch of same-shape sort requests back to back.
@@ -41,12 +37,9 @@ def sort_shards_job(
     :class:`Tracer` per request, so the service can surface per-request
     spans rather than one blurred batch.  ``injector`` (threads backend
     only — it needs one address space) wraps the comm in the
-    fault-tolerant transport for the whole batch; the wrapped comm is
-    not :attr:`~repro.runtime.api.Comm.overlap_capable`, so an armed
-    injector transparently forces the synchronous schedule even when
-    ``overlap`` is requested.  ``algorithm`` picks the SPMD sort:
-    ``"smart"`` bitonic (honours the schedule flags) or ``"sample"``
-    (one splitter-driven redistribution; the flags do not apply).
+    fault-tolerant transport for the whole batch.  ``algorithm`` picks
+    the SPMD sort: ``"smart"`` bitonic or ``"sample"`` (one
+    splitter-driven redistribution).
     """
     base = comm
     if injector is not None:
@@ -61,12 +54,7 @@ def sort_shards_job(
         if algorithm == "sample":
             outs.append(spmd_sample_sort(comm, shard))
         else:
-            outs.append(
-                spmd_bitonic_sort(
-                    comm, shard, fused=fused, grouped=grouped,
-                    overlap=overlap, chunks=chunks,
-                )
-            )
+            outs.append(spmd_bitonic_sort(comm, shard))
         base.tracer = None
         tracers.append(tracer)
     return outs, tracers

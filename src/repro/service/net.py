@@ -652,14 +652,14 @@ class SortServer:
                     )
             # Absent on v1 frames: old clients asked for (and only knew)
             # the smart bitonic sort; "auto" opts into planner routing.
+            # Older clients' ``fused``/``grouped`` keys are ignored: every
+            # remap is fused and group-scoped.
             algorithm = meta.get("algorithm", "smart")
             ticket = self.service.submit(
                 keys,
                 algorithm=None if algorithm == "auto" else algorithm,
                 backend=meta.get("backend"),
                 P=meta.get("P"),
-                fused=meta.get("fused"),
-                grouped=meta.get("grouped"),
                 deadline_s=budget,
                 tenant=meta.get("tenant") or "default",
             )
@@ -937,8 +937,6 @@ class SortClient:
         algorithm: Optional[str] = None,
         backend: Optional[str] = None,
         P: Optional[int] = None,
-        fused: Optional[bool] = None,
-        grouped: Optional[bool] = None,
         trace: bool = False,
     ) -> ClientOutcome:
         """Sort ``keys`` on the server; deadline-aware, retrying, typed.
@@ -978,7 +976,6 @@ class SortClient:
                         rid, keys, shm_name, deadline_at, tracer,
                         deadline_s=deadline_s, tenant=tenant,
                         algorithm=algorithm, backend=backend, P=P,
-                        fused=fused, grouped=grouped,
                     )
                     outcome.attempts = attempts
                     outcome.wall_s = time.monotonic() - started
@@ -1041,8 +1038,7 @@ class SortClient:
             "dtype": str(keys.dtype.str),
             "shape": [int(keys.size)],
         }
-        for key in ("tenant", "algorithm", "backend", "P", "fused",
-                    "grouped"):
+        for key in ("tenant", "algorithm", "backend", "P"):
             if opts.get(key) is not None:
                 meta[key] = opts[key]
         if deadline_at is not None:

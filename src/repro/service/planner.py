@@ -2,42 +2,34 @@
 
 Given a request's ``(N, dtype, faults)`` the planner chooses the cheapest
 execution: **algorithm** (smart bitonic vs sample sort — the Figure
-5.7/5.8 crossover, priced live), backend (threads vs procs), world size
-``P``, and the fused/grouped communication flags — using the paper's
-closed forms priced with the host's calibrated
-:class:`~repro.service.profile.HostProfile`, optionally biased by
-measured bench history (``BENCH_pr*.json``).  This mirrors how
-engineered distributed sorters pick algorithms from machine parameters
-instead of hardcoding one.
+5.7/5.8 crossover, priced live), backend (threads vs procs) and world
+size ``P`` — using the paper's closed forms priced with the host's
+calibrated :class:`~repro.service.profile.HostProfile`, optionally
+corrected online by a :class:`~repro.service.adapt.RequestAdapter`.
+This mirrors how engineered distributed sorters pick algorithms from
+machine parameters instead of hardcoding one.  There is no
+communication flag to choose: every bitonic remap runs the fused
+collective on its Lemma-4 group.
 
 Every choice has a **forced-override escape hatch**: pass
-``algorithm=``, ``backend=``, ``P=``, ``fused=``, ``grouped=``,
-``overlap=`` or ``chunks=`` to :meth:`Planner.plan` and the planner
-optimizes only the remaining free dimensions.
+``algorithm=``, ``backend=`` or ``P=`` to :meth:`Planner.plan` and the
+planner optimizes only the remaining free dimensions.
 
 One choice is a *safety clamp*, not an optimization: a request with an
 armed fault plan runs on the threads backend (the injector needs one
-address space) with ``fused=False`` / ``grouped=False`` — the
-:class:`~repro.faults.transport.ReliableComm` wrapper cannot fuse, and
-while the :class:`~repro.runtime.api.Comm` ABC would fall back
-transparently, the planner must never *select* a configuration it knows
-will fall back.  The clamp beats a forced override and is pinned by a
-property test.
+address space).  The clamp beats a forced override.
 """
 
 from __future__ import annotations
 
-import glob
-import json
-import os
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.service.adapt import RequestAdapter
 from repro.service.profile import HostProfile
 
-__all__ = ["PlanDecision", "Planner", "BenchHistory", "EXTERNAL_BACKEND"]
+__all__ = ["PlanDecision", "Planner", "EXTERNAL_BACKEND"]
 
 #: Candidate world sizes considered when ``P`` is not forced.
 _DEFAULT_CANDIDATE_P = (1, 2, 4, 8)
@@ -66,30 +58,22 @@ class PlanDecision:
     ``est_seconds`` is the model's estimate for the chosen config;
     ``candidates`` maps every considered ``(backend, P)`` to its
     estimate, so callers (and the decision table in SERVING.md) can see
-    the margins.  ``clamped`` is True when fault safety or the memory
-    budget overrode a request's own flags; ``source`` records what the
-    choice rode on (``"model"``, ``"history"``, ``"adapted"``,
-    ``"forced"`` or ``"budget"`` — the last meaning the memory budget
-    degraded the request to the out-of-core external sort).
+    the margins.  ``clamped`` is True when fault safety pinned the
+    backend or the memory budget overrode the request's own choices;
+    ``source`` records what the choice rode on (``"model"``,
+    ``"adapted"``, ``"forced"`` or ``"budget"`` — the last meaning the
+    memory budget degraded the request to the out-of-core external sort).
     """
 
     backend: str
     P: int
     algorithm: str
-    fused: bool
-    grouped: bool
     est_seconds: float
-    #: Run the remaps as the chunked nonblocking pipeline.  Chosen only
-    #: when the profile/history says hiding transfer wait beats the
-    #: pipeline's per-chunk overhead (or when forced); fault clamps force
-    #: it off — the fault transport is not overlap-capable.
-    overlap: bool = False
-    chunks: int = 4
     clamped: bool = False
     source: str = "model"
     candidates: Dict[str, float] = field(default_factory=dict)
-    #: The same candidates priced by the *static* model (profile + bench
-    #: history, no live corrections).  Empty unless an online
+    #: The same candidates priced by the *static* model (the profile,
+    #: no live corrections).  Empty unless an online
     #: :class:`~repro.service.adapt.RequestAdapter` repriced the table —
     #: then ``candidates`` holds the adapted estimates the choice rode on
     #: and this column shows what the frozen model believed, side by side
@@ -101,13 +85,9 @@ class PlanDecision:
         chosen = (
             ("" if self.algorithm == "smart" else f"{self.algorithm}:")
             + f"{self.backend}x{self.P}"
-            + ("+ov" if self.overlap else "")
         )
         lines = [
-            f"plan: {self.algorithm} on {self.backend} x {self.P}, "
-            f"fused={self.fused} grouped={self.grouped} "
-            f"overlap={self.overlap}"
-            + (f" chunks={self.chunks}" if self.overlap else "")
+            f"plan: {self.algorithm} on {self.backend} x {self.P}"
             + f" (~{self.est_seconds * 1e3:.1f} ms, source={self.source}"
             + (
                 ", budget-clamped"
@@ -137,105 +117,16 @@ class PlanDecision:
         return "\n".join(lines)
 
 
-class BenchHistory:
-    """Measured end-to-end latencies from committed bench trajectories.
-
-    Loads the ``end_to_end`` records of ``BENCH_pr*.json`` files (schema
-    ``repro-bitonic-bench/2+``) and answers "what did backend X actually
-    cost near N keys on this host" — the empirical correction on top of
-    the closed forms.
-    """
-
-    def __init__(self, records: Sequence[Dict[str, Any]] = ()):
-        self._records = [
-            r for r in records
-            if "backend" in r and "keys" in r and "best_s" in r
-        ]
-
-    @classmethod
-    def load(cls, paths: Optional[Sequence[str]] = None) -> "BenchHistory":
-        """Load from explicit paths, or from ``BENCH_pr*.json`` in the
-        current directory when none are given.  Unreadable files are
-        skipped — history is a bias, never a requirement."""
-        if paths is None:
-            paths = sorted(glob.glob("BENCH_pr*.json"))
-        records: List[Dict[str, Any]] = []
-        for path in paths:
-            if not os.path.exists(path):
-                continue
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    doc = json.load(fh)
-                records.extend(doc.get("end_to_end", []))
-            except (OSError, ValueError):
-                continue
-        return cls(records)
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def best(
-        self, backend: str, N: int, algorithm: str = "smart"
-    ) -> Optional[Tuple[float, int]]:
-        """Best measured ``(seconds, keys)`` for ``backend`` running
-        ``algorithm`` at the record size nearest ``N`` (within a factor
-        of 4), fused variant preferred implicitly by taking the minimum.
-        Records predating the algorithm field (schema < 6) are bitonic
-        trajectories and count as ``"smart"``."""
-        nearby = [
-            r for r in self._records
-            if r["backend"] == backend
-            and r.get("algorithm", "smart") == algorithm
-            and N / 4 <= r["keys"] <= N * 4
-        ]
-        if not nearby:
-            return None
-        r = min(nearby, key=lambda r: (abs(r["keys"] - N), r["best_s"]))
-        best = min(
-            x["best_s"] for x in nearby if x["keys"] == r["keys"]
-        )
-        return best, int(r["keys"])
-
-    def overlap_efficiency(self, backend: str) -> Optional[float]:
-        """Measured overlap payoff for ``backend``, as the fraction of
-        end-to-end time the overlapped variant shaved off its synchronous
-        counterpart at the same size — ``max(1 - overlap/sync)`` over the
-        sizes benched both ways, clamped to [0, 1].  Because transfer is
-        at most the whole run, this end-to-end fraction is a conservative
-        stand-in for the hidden-transfer fraction
-        :attr:`~repro.service.profile.HostProfile.overlap_efficiency`
-        prices with.  ``None`` when no size was benched both ways (the
-        planner then never chooses overlap on its own)."""
-        by_size: Dict[int, Dict[bool, float]] = {}
-        for r in self._records:
-            if r["backend"] != backend:
-                continue
-            ov = bool(r.get("overlap", False))
-            d = by_size.setdefault(int(r["keys"]), {})
-            d[ov] = min(d.get(ov, float("inf")), float(r["best_s"]))
-        gains = [
-            1.0 - pair[True] / pair[False]
-            for pair in by_size.values()
-            if True in pair and False in pair and pair[False] > 0
-        ]
-        if not gains:
-            return None
-        return min(max(max(gains), 0.0), 1.0)
-
-
 class Planner:
-    """Choose (backend, P, flags) per request from the host profile.
+    """Choose (algorithm, backend, P) per request from the host profile.
 
     ``backends`` restricts which SPMD backends may be chosen;
-    ``candidate_P`` the world sizes considered.  ``history`` supplies
-    measured latencies used to scale the model's per-backend estimates
-    (estimate × measured/modeled at the nearest benched size).
-    ``adapter`` closes the online feedback loop: when a
+    ``candidate_P`` the world sizes considered.  ``adapter`` closes the
+    online feedback loop: when a
     :class:`~repro.service.adapt.RequestAdapter` is attached, ``plan()``
-    reprices every candidate with its live correction factors and
-    measured overlap efficiency (unless the caller passes
-    ``adapt=False`` or the fault clamp engages — those paths stay
-    byte-identical to the static planner).
+    reprices every candidate with its live correction factors (unless
+    the caller passes ``adapt=False`` or the fault clamp engages — those
+    paths stay byte-identical to the static planner).
     """
 
     def __init__(
@@ -243,7 +134,6 @@ class Planner:
         profile: Optional[HostProfile] = None,
         backends: Sequence[str] = ("threads", "procs"),
         candidate_P: Sequence[int] = _DEFAULT_CANDIDATE_P,
-        history: Optional[BenchHistory] = None,
         adapter: Optional[RequestAdapter] = None,
     ):
         self.profile = profile or HostProfile.default()
@@ -257,7 +147,6 @@ class Planner:
             raise ConfigurationError("planner needs at least one backend")
         self.backends = tuple(backends)
         self.candidate_P = tuple(sorted(set(candidate_P)))
-        self.history = history if history is not None else BenchHistory()
         self.adapter = adapter
 
     # -- the decision --------------------------------------------------
@@ -271,50 +160,34 @@ class Planner:
         algorithm: Optional[str] = None,
         backend: Optional[str] = None,
         P: Optional[int] = None,
-        fused: Optional[bool] = None,
-        grouped: Optional[bool] = None,
-        overlap: Optional[bool] = None,
-        chunks: Optional[int] = None,
         warm: bool = True,
         adapt: bool = True,
         memory_budget: Optional[int] = None,
     ) -> PlanDecision:
         """Plan one sort request of ``N`` keys.
 
-        Keyword arguments other than ``faults``/``warm``/``adapt`` are
-        forced overrides: ``None`` means "planner chooses".
-        ``faults=True`` applies the safety clamp described in the module
-        docstring — it wins even over forced
-        ``fused``/``grouped``/``overlap``.
+        ``algorithm``/``backend``/``P`` are forced overrides: ``None``
+        means "planner chooses".  ``faults=True`` applies the safety
+        clamp described in the module docstring.
 
         ``adapt`` engages the attached
         :class:`~repro.service.adapt.RequestAdapter` (a no-op without
-        one): every candidate is priced twice — statically (profile +
-        bench history, exactly the computation run without an adapter)
-        and with the live corrections — and the *adapted* estimates pick
-        the winner, with both columns kept on the decision
+        one): every candidate is priced twice — statically (exactly the
+        computation run without an adapter) and with the live
+        corrections — and the *adapted* estimates pick the winner, with
+        both columns kept on the decision
         (:attr:`PlanDecision.static_candidates`).  An unobserved
         candidate's adapted price equals its static price, so adaptation
         only moves decisions on evidence.  ``adapt=False``, a missing
         adapter, or an armed fault plan (live corrections reflect the
-        unclamped fast path, not the fault transport) all fall back to
-        the static path, byte-identical to a planner with no adapter.
+        fast path, not the fault transport) all fall back to the static
+        path, byte-identical to a planner with no adapter.
 
         With ``algorithm=None`` (or ``"auto"``) the planner prices both
         runnable algorithms — smart bitonic and sample sort — against
-        each other, each at its own bench-history bias, and the winner's
-        name lands on :attr:`PlanDecision.algorithm` (the ``sample:``-
-        prefixed rows of :meth:`PlanDecision.explain`'s candidate
-        table).  Forcing ``overlap=True`` pins the bitonic chunked
-        pipeline: sample sort's single exchange has nothing to overlap,
-        so the overlapped request is a bitonic request.
-
-        With ``overlap=None`` the planner prices each ``(backend, P)``
-        twice — synchronous and overlapped (the ``+ov`` candidates) —
-        and picks overlap only when the estimate says hiding transfer
-        wait beats the pipeline's per-chunk overhead; with the default
-        profile (``overlap_efficiency=0``) and no bench history that is
-        never, so overlap stays opt-in until measured.
+        each other, and the winner's name lands on
+        :attr:`PlanDecision.algorithm` (the ``sample:``-prefixed rows of
+        :meth:`PlanDecision.explain`'s candidate table).
 
         ``memory_budget`` (bytes) engages the third regime: when the
         request's estimated in-memory working set
@@ -367,13 +240,11 @@ class Planner:
                     algorithm not in (None, "external")
                     or backend not in (None, EXTERNAL_BACKEND)
                     or (P is not None and P != 1)
-                    or overlap is True
                 ):
                     clamped = True
                 algorithm = "external"
                 backend = None
                 P = None
-                overlap = False
         if algorithm == "external":
             if faults:
                 raise ConfigurationError(
@@ -391,34 +262,17 @@ class Planner:
                     f"the external sort is single-host: P must be 1, "
                     f"got {P}"
                 )
-            if overlap is True:
-                raise ConfigurationError(
-                    "the external sort has no remap pipeline to overlap"
-                )
             backend = None
             P = None
         if faults:
-            # Safety clamp: the fault transport needs one address space
-            # and cannot fuse, group or overlap (ReliableComm wraps every
-            # payload in checksummed frames and is not overlap-capable;
-            # the transparent ABC fallback would engage on every remap).
-            # Never *plan* into a fallback.
+            # Safety clamp: the fault transport needs one address space.
             if backend is not None and backend != "threads":
                 raise ConfigurationError(
                     f"fault injection needs the threads backend, "
                     f"not {backend!r}"
                 )
             backend = "threads"
-            if fused is not False or grouped is not False or overlap is True:
-                clamped = True
-            fused = False
-            grouped = False
-            overlap = False
-        use_fused = True if fused is None else fused
-        use_grouped = True if grouped is None else grouped
-        use_chunks = 4 if chunks is None else int(chunks)
-        if use_chunks < 1:
-            raise ConfigurationError(f"chunks must be >= 1, got {chunks}")
+            clamped = True
 
         backends = (backend,) if backend is not None else self.backends
         for b in backends:
@@ -446,184 +300,76 @@ class Planner:
                 if p == 1 or (N % p == 0 and N // p >= 2)
             ) or (1,)
 
-        # Which algorithms compete: one when forced; forcing the
-        # overlapped pipeline pins bitonic (sample's single exchange has
-        # nothing to overlap); otherwise every runnable algorithm — the
-        # out-of-core regime only once the profile carries measured disk
-        # bandwidth (conservative defaults must never win an auto race).
+        # Which algorithms compete: one when forced; otherwise every
+        # runnable algorithm — the out-of-core regime only once the
+        # profile carries measured disk bandwidth (conservative defaults
+        # must never win an auto race).
         if algorithm is not None:
             algos: Tuple[str, ...] = (algorithm,)
-        elif overlap is True:
-            algos = ("smart",)
         elif self.profile.has_disk_evidence:
             algos = PLANNABLE_ALGORITHMS
         else:
             algos = _INMEM_ALGORITHMS
-        # Which overlap polarities compete: both when the planner is free
-        # to choose, exactly one when forced (or fault-clamped).
-        ov_options = (False, True) if overlap is None else (bool(overlap),)
         # Live corrections engage only when an adapter is attached, the
         # caller kept ``adapt``, and no fault clamp is armed — every
         # other path runs exactly the static computation below.
         adapter = self.adapter if (adapt and not faults) else None
         candidates: Dict[str, float] = {}
         static_candidates: Dict[str, float] = {}
-        best: Optional[Tuple[float, str, str, int, bool]] = None
+        best: Optional[Tuple[float, str, str, int]] = None
         for algo in algos:
             if algo == "external":
                 # The out-of-core regime is a single candidate: it runs
                 # in-process on the serving host (``local`` pseudo-
-                # backend, P=1), so there is no backend/P sweep — just
-                # the I/O closed form, biased by its own bench history
-                # and live EWMA correction like every other candidate.
-                scale = self._history_scale(
-                    EXTERNAL_BACKEND, N, dtype_size, "external"
-                )
-                est = self.profile.estimate_external(
-                    N, dtype_size=dtype_size, memory_budget=memory_budget,
-                ) * scale
-                name = f"external:{EXTERNAL_BACKEND}x1"
-                if adapter is not None:
-                    corr = adapter.correction(EXTERNAL_BACKEND, 1, "external")
-                    adapted = est if corr is None else est / scale * corr
-                    static_candidates[name] = est
-                    candidates[name] = adapted
-                    est = adapted
-                else:
-                    candidates[name] = est
-                if best is None or est < best[0]:
-                    best = (est, "external", EXTERNAL_BACKEND, 1, False)
-                continue
-            # Sample sort never runs the chunked pipeline; its only
-            # overlap polarity is what was forced (ignored at runtime).
-            algo_ov = (
-                ov_options if algo == "smart"
-                else (bool(overlap),) if overlap is not None
-                else (False,)
-            )
-            prefix = "" if algo == "smart" else f"{algo}:"
-            for b in backends:
-                scale = self._history_scale(b, N, dtype_size, algo)
-                # Measured overlap payoff beats the profile's static number.
-                profile = self.profile
-                eff = self.history.overlap_efficiency(b)
-                if eff is not None and True in algo_ov:
-                    profile = replace(profile, overlap_efficiency=eff)
-                adapted_profile = profile
-                if adapter is not None and True in algo_ov:
-                    # Live wait-split evidence beats committed history for
-                    # the overlapped candidates — copy-on-write, the
-                    # planner's own profile object is never mutated.
-                    live_eff = adapter.overlap_efficiency(b)
-                    if live_eff is not None:
-                        adapted_profile = replace(
-                            profile, overlap_efficiency=live_eff
-                        )
-                for p in candidates_P:
-                    corr = (
-                        adapter.correction(b, p, algo)
-                        if adapter is not None else None
+                # backend, P=1), so there is no backend/P sweep.
+                pairs: Tuple[Tuple[str, int], ...] = ((EXTERNAL_BACKEND, 1),)
+                prefix = "external:"
+            else:
+                pairs = tuple((b, p) for b in backends for p in candidates_P)
+                prefix = "" if algo == "smart" else f"{algo}:"
+            for b, p in pairs:
+                if algo == "external":
+                    est = self.profile.estimate_external(
+                        N, dtype_size=dtype_size,
+                        memory_budget=memory_budget,
                     )
-                    for ov in algo_ov:
-                        est = profile.estimate(
-                            N, p, b,
-                            algorithm=algo,
-                            fused=use_fused, grouped=use_grouped,
-                            overlap=ov, chunks=use_chunks,
-                            warm=warm, dtype_size=dtype_size,
-                        ) * scale
-                        name = f"{prefix}{b}x{p}" + ("+ov" if ov else "")
-                        if adapter is not None:
-                            # Adapted price: the live measured/modeled
-                            # factor replaces the bench-history scale for
-                            # observed keys (live beats committed); an
-                            # unobserved key keeps the static price, so
-                            # adaptation never diverges without evidence.
-                            if corr is None and adapted_profile is profile:
-                                adapted = est
-                            else:
-                                adapted = adapted_profile.estimate(
-                                    N, p, b,
-                                    algorithm=algo,
-                                    fused=use_fused, grouped=use_grouped,
-                                    overlap=ov, chunks=use_chunks,
-                                    warm=warm, dtype_size=dtype_size,
-                                ) * (corr if corr is not None else scale)
-                            static_candidates[name] = est
-                            candidates[name] = adapted
-                            est = adapted
-                        else:
-                            candidates[name] = est
-                        if best is None or est < best[0]:
-                            best = (est, algo, b, p, ov)
+                else:
+                    est = self.profile.estimate(
+                        N, p, b, algorithm=algo, warm=warm,
+                        dtype_size=dtype_size,
+                    )
+                name = f"{prefix}{b}x{p}"
+                if adapter is not None:
+                    # Adapted price: the live measured/modeled factor for
+                    # observed keys; an unobserved key keeps the static
+                    # price, so adaptation never diverges without
+                    # evidence.
+                    corr = adapter.correction(b, p, algo)
+                    static_candidates[name] = est
+                    if corr is not None:
+                        est *= corr
+                candidates[name] = est
+                if best is None or est < best[0]:
+                    best = (est, algo, b, p)
         assert best is not None
-        est, chosen_algo, chosen_backend, chosen_P, chosen_ov = best
+        est, chosen_algo, chosen_backend, chosen_P = best
         forced = backend is not None and P is not None
         source = (
             "budget" if budget_forced
             else "forced" if forced
             else "adapted" if adapter is not None and adapter.updates
-            else "history" if len(self.history) and not faults
             else "model"
         )
         return PlanDecision(
             backend=chosen_backend,
             P=chosen_P,
             algorithm=chosen_algo,
-            fused=use_fused,
-            grouped=use_grouped,
-            overlap=chosen_ov,
-            chunks=use_chunks,
             est_seconds=est,
             clamped=clamped,
             source=source,
             candidates=candidates,
             static_candidates=static_candidates if adapter is not None else {},
         )
-
-    def _history_scale(
-        self, backend: str, N: int, dtype_size: int,
-        algorithm: str = "smart",
-    ) -> float:
-        """Measured/modeled ratio at the nearest benched size: scales the
-        model's estimate for ``backend`` running ``algorithm`` so
-        systematic model error (GIL serialization, allocator behaviour)
-        cancels out of the algorithm- and backend-vs-backend comparison.
-        An algorithm with no bench records of its own falls back to the
-        backend's bitonic-derived ratio — the backend-systematic share of
-        the error transfers even before the algorithm is benched."""
-        hit = self.history.best(backend, N, algorithm)
-        if hit is None and algorithm not in ("smart", "external"):
-            # An SPMD algorithm with no records of its own borrows the
-            # backend's bitonic ratio; the external sort shares nothing
-            # with the SPMD backends and never borrows.
-            algorithm = "smart"
-            hit = self.history.best(backend, N, algorithm)
-        if hit is None:
-            return 1.0
-        measured, keys = hit
-        # Bench records run cold at their recorded procs count; compare
-        # against the cold model estimate at the benched size.  P is not
-        # recorded per-history here, so use the bench default of 4 (the
-        # external sort is always P=1 and modeled by its own form).
-        try:
-            if algorithm == "external":
-                modeled = self.profile.estimate_external(
-                    keys, dtype_size=dtype_size
-                )
-            else:
-                modeled = self.profile.estimate(
-                    keys, 4, backend, algorithm=algorithm,
-                    warm=False, dtype_size=dtype_size,
-                )
-        except ConfigurationError:
-            return 1.0
-        if modeled <= 0 or measured <= 0:
-            return 1.0
-        ratio = measured / modeled
-        # Clamp: history is a bias, not an oracle — a wildly off ratio
-        # (different host, stale file) must not invert sane decisions.
-        return min(max(ratio, 0.25), 4.0)
 
     # -- reporting ------------------------------------------------------
 
@@ -640,10 +386,7 @@ class Planner:
         the regime split: sizes whose working set exceeds it degrade to
         ``external`` rows (the planner's third regime)."""
         adapted = self.adapter is not None
-        header = (
-            f"{'keys':>10}  {'algorithm':<9} {'backend':<8} {'P':>2}  "
-            f"{'fused':<5} {'grouped':<7} {'overlap':<7}"
-        )
+        header = f"{'keys':>10}  {'algorithm':<9} {'backend':<8} {'P':>2}"
         if adapted:
             header += f" {'static':>10} {'adapted':>10}"
         else:
@@ -651,15 +394,11 @@ class Planner:
         lines = [header]
         for N in sizes:
             d = self.plan(N, memory_budget=memory_budget)
-            row = (
-                f"{N:>10,}  {d.algorithm:<9} {d.backend:<8} {d.P:>2}  "
-                f"{str(d.fused):<5} {str(d.grouped):<7} {str(d.overlap):<7}"
-            )
+            row = f"{N:>10,}  {d.algorithm:<9} {d.backend:<8} {d.P:>2}"
             if adapted:
                 chosen = (
                     ("" if d.algorithm == "smart" else f"{d.algorithm}:")
                     + f"{d.backend}x{d.P}"
-                    + ("+ov" if d.overlap else "")
                 )
                 static = d.static_candidates.get(chosen)
                 static_txt = (

@@ -42,17 +42,20 @@ __all__ = ["BackendCosts", "HostProfile", "PROFILE_SCHEMA"]
 #: optional ``adapt`` blob (the :class:`~repro.service.adapt.RequestAdapter`
 #: state snapshot) so a restarted service resumes its online corrections
 #: warm; /3 adds measured sequential disk read/write bandwidth and fsync
-#: latency, which price the out-of-core external-sort regime.  Older
-#: files still load — with a warning and conservative disk defaults, so
+#: latency, which price the out-of-core external-sort regime; /4 drops
+#: the overlap-efficiency field (and the adapt blob's ``waits``)
+#: with the overlapped remap pipeline.  Older files still load — with a
+#: warning, removed fields ignored and conservative disk defaults, so
 #: the planner never auto-chooses the external path without measured
-#: evidence (the overlap-efficiency precedent).
-PROFILE_SCHEMA = "repro-bitonic-profile/3"
+#: evidence.
+PROFILE_SCHEMA = "repro-bitonic-profile/4"
 
 #: Prior schemas, accepted read-only (warn; missing fields default) so
 #: one calibration file survives the bumps.
 _LEGACY_PROFILE_SCHEMAS = (
     "repro-bitonic-profile/1",
     "repro-bitonic-profile/2",
+    "repro-bitonic-profile/3",
 )
 
 
@@ -102,12 +105,6 @@ class HostProfile:
     fused_pack_us: float
     address_us: float
     backends: Dict[str, BackendCosts] = field(default_factory=dict)
-    #: Fraction of per-remap transfer time the overlapped communication
-    #: schedule hides behind unpack/merge work on this host, in [0, 1].
-    #: 0 (the default) means "never plan into overlap" — the value comes
-    #: from measured bench history (:meth:`BenchHistory.overlap_efficiency`)
-    #: or calibration, not from optimism.
-    overlap_efficiency: float = 0.0
     #: Calibrated busy-spin budget for the procs backend's counter
     #: handshakes (``None`` = let the backend default from the core
     #: count); plumbed into :class:`~repro.runtime.driver.BackendOptions`.
@@ -196,10 +193,6 @@ class HostProfile:
         backend: str,
         *,
         algorithm: str = "smart",
-        fused: bool = True,
-        grouped: bool = True,
-        overlap: bool = False,
-        chunks: int = 4,
         warm: bool = True,
         dtype_size: int = KEY_BYTES,
     ) -> float:
@@ -209,18 +202,11 @@ class HostProfile:
         (:func:`repro.theory.predict.predict` with this host's spec) for
         the requested ``algorithm`` (``"smart"`` bitonic or ``"sample"``);
         oversubscription scales it by ``P / min(P, cpus)`` because ranks
-        beyond the core count serialize.  Ungrouped runs pay the full
-        world-barrier fan-in per remap instead of the Lemma-4 group
-        fan-in.  ``overlap`` credits :attr:`overlap_efficiency` of the
-        predicted transfer time (the share the chunked pipeline hides
-        behind unpack/merge) and charges one extra per-chunk posting
-        overhead ``o`` per remap — with the default efficiency of 0 the
-        overlapped estimate is strictly *worse*, so the planner only
-        selects overlap once measurements justify it.  Sample sort has
-        no chunked pipeline, so its estimate ignores the overlap flag
-        (equal estimates let the planner keep the synchronous spelling).
-        On top ride the serving fixed costs: spawn (cold only), job
-        dispatch, and shard shipping through the job pipe.
+        beyond the core count serialize.  The bitonic remaps are priced
+        fused (§4.3) with the Lemma-4 group fan-in; sample sort's single
+        exchange spans the world.  On top ride the serving fixed costs:
+        spawn (cold only), job dispatch, and shard shipping through the
+        job pipe.
         """
         from repro.theory.counts import counts_for
         from repro.theory.predict import predict
@@ -237,33 +223,16 @@ class HostProfile:
                 f"knows {sorted(self.backends)}"
             )
         spec = self.machine_spec(backend, P)
-        if algorithm == "smart":
-            pt = predict("smart", N, P, spec=spec, fused=fused)
-        else:
-            pt = predict(algorithm, N, P, spec=spec)
-        busy_us = pt.total
-        if algorithm == "smart" and overlap and P > 1:
-            eff = min(max(self.overlap_efficiency, 0.0), 1.0)
-            busy_us -= eff * pt.times.get("transfer", 0.0)
-            remaps = counts_for("smart", N, P).remaps
-            busy_us += (max(int(chunks), 1) - 1) * remaps * costs.o
-        if P > 1:
-            if algorithm == "smart":
-                counts = counts_for("smart", N, P)
-                remaps = counts.remaps
-                messages = counts.messages
-            else:
-                # Sample sort: one redistribution of P - 1 messages, and
-                # its single exchange always spans the whole world.
-                remaps, messages = 1, P - 1
-            # Synchronization fan-in per remap: each member waits on the
-            # group (Lemma 4) or on the whole world, one ``o`` per peer
-            # it must observe.  Groups average far fewer members.
-            mean_group = max(2.0, messages / remaps + 1)
-            fanin = (
-                mean_group if grouped and algorithm == "smart" else float(P)
-            )
-            busy_us += remaps * costs.o * fanin
+        busy_us = predict(algorithm, N, P, spec=spec).total
+        # Synchronization fan-in: each member observes its peers at one
+        # ``o`` apiece — per remap within its Lemma-4 group for bitonic,
+        # once across the whole world for sample sort's single exchange.
+        if P > 1 and algorithm == "smart":
+            counts = counts_for("smart", N, P)
+            group = max(2.0, counts.messages / counts.remaps + 1)
+            busy_us += counts.remaps * costs.o * group
+        elif P > 1:
+            busy_us += costs.o * P
         oversub = P / max(1, min(P, self.cpus))
         wall = busy_us * oversub / 1e6
         wall += costs.job_overhead_s
@@ -346,7 +315,8 @@ class HostProfile:
             warnings.warn(
                 f"{path}: stale profile schema {schema!r} "
                 f"(current: {PROFILE_SCHEMA!r}); loading calibration "
-                "with conservative defaults for the missing fields — "
+                "with removed fields ignored and conservative defaults "
+                "for the missing ones — "
                 "re-run scripts/calibrate_loggp.py to refresh",
                 stacklevel=3,
             )

@@ -84,8 +84,6 @@ class LocalShard:
         algorithm: Optional[str] = None,
         backend: Optional[str] = None,
         P: Optional[int] = None,
-        fused: Optional[bool] = None,
-        grouped: Optional[bool] = None,
         trace: bool = False,
     ) -> ClientOutcome:
         started = time.monotonic()
@@ -98,8 +96,6 @@ class LocalShard:
             ),
             backend=backend,
             P=P,
-            fused=fused,
-            grouped=grouped,
             deadline_s=deadline_s,
             tenant=tenant or "default",
         )
@@ -333,8 +329,6 @@ class ShardRouter:
         algorithm: Optional[str] = None,
         backend: Optional[str] = None,
         P: Optional[int] = None,
-        fused: Optional[bool] = None,
-        grouped: Optional[bool] = None,
         trace: bool = False,
     ) -> ClientOutcome:
         """Sort via the pool, failing over across shards inside the
@@ -377,8 +371,6 @@ class ShardRouter:
                     algorithm=algorithm,
                     backend=backend,
                     P=P,
-                    fused=fused,
-                    grouped=grouped,
                     trace=trace,
                 )
             except RequestTimeoutError:

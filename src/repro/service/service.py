@@ -158,13 +158,13 @@ class ServiceReport:
     batches: int = 0
     world_retries: int = 0
     pool: Dict[str, Any] = field(default_factory=dict)
-    #: Online-adaptation snapshot (update count, live correction factors,
-    #: measured overlap efficiency) when the planner carries an adapter.
+    #: Online-adaptation snapshot (update count, live correction factors)
+    #: when the planner carries an adapter.
     adapt: Dict[str, Any] = field(default_factory=dict)
     #: Per-tenant admission counters (queued/admitted/rejections) when a
     #: TenantAdmission controller is attached.
     tenants: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    #: One dict per served request: id, keys, backend, P, flags,
+    #: One dict per served request: id, keys, algorithm, backend, P,
     #: est/queue/run/wall seconds, batch size.
     requests: List[Dict[str, Any]] = field(default_factory=list)
 
@@ -334,10 +334,6 @@ class SortService:
         algorithm: Optional[str] = None,
         backend: Optional[str] = None,
         P: Optional[int] = None,
-        fused: Optional[bool] = None,
-        grouped: Optional[bool] = None,
-        overlap: Optional[bool] = None,
-        chunks: Optional[int] = None,
         faults: Optional[Any] = None,
         deadline_s: Optional[float] = None,
         trace: Optional[bool] = None,
@@ -346,9 +342,8 @@ class SortService:
     ) -> Ticket:
         """Enqueue one sort request; returns its :class:`Ticket`.
 
-        ``algorithm``/``backend``/``P``/``fused``/``grouped``/
-        ``overlap``/``chunks`` are forced overrides for
-        the planner (``None`` = planner chooses, including the
+        ``algorithm``/``backend``/``P`` are forced overrides for the
+        planner (``None`` = planner chooses, including the
         smart-bitonic-vs-sample algorithm routing).  Raises
         :class:`~repro.errors.AdmissionError` when the queue is full, the
         deadline estimate says the request cannot finish in time, or the
@@ -409,10 +404,6 @@ class SortService:
             algorithm=algorithm,
             backend=backend,
             P=P,
-            fused=fused,
-            grouped=grouped,
-            overlap=overlap,
-            chunks=chunks,
             memory_budget=budget,
         )
         if decision.source == "budget":
@@ -501,7 +492,6 @@ class SortService:
         d = p.decision
         return (
             p.keys.size, p.keys.dtype.str, d.backend, d.P, d.algorithm,
-            d.fused, d.grouped, d.overlap, d.chunks,
         )
 
     def _take_batch(self) -> Optional[List[_Pending]]:
@@ -600,8 +590,7 @@ class SortService:
             return out
 
         rank_args = [
-            (shards_for(r), d.fused, d.grouped, trace, injector,
-             d.overlap, d.chunks, d.algorithm)
+            (shards_for(r), trace, injector, d.algorithm)
             for r in range(P)
         ]
         # Deadline propagation into the world dispatch: when every batch
@@ -677,10 +666,6 @@ class SortService:
                     algorithm=d.algorithm,
                     measured_s=run_s / len(batch),
                     dtype_size=p.keys.dtype.itemsize,
-                    fused=d.fused,
-                    grouped=d.grouped,
-                    overlap=d.overlap,
-                    chunks=d.chunks,
                     tracers=rank_tracers,
                 )
             outcome = SortOutcome(
@@ -706,10 +691,6 @@ class SortService:
                         "algorithm": d.algorithm,
                         "backend": d.backend,
                         "P": P,
-                        "fused": d.fused,
-                        "grouped": d.grouped,
-                        "overlap": d.overlap,
-                        "chunks": d.chunks,
                         "est_s": d.est_seconds,
                         "queue_wait_s": outcome.queue_wait_s,
                         "run_s": run_s,
@@ -766,10 +747,6 @@ class SortService:
                     algorithm="external",
                     measured_s=run_s,
                     dtype_size=p.keys.dtype.itemsize,
-                    fused=d.fused,
-                    grouped=d.grouped,
-                    overlap=d.overlap,
-                    chunks=d.chunks,
                     tracers=[tracer] if tracer is not None else None,
                 )
             outcome = SortOutcome(
@@ -792,10 +769,6 @@ class SortService:
                         "algorithm": "external",
                         "backend": EXTERNAL_BACKEND,
                         "P": 1,
-                        "fused": d.fused,
-                        "grouped": d.grouped,
-                        "overlap": d.overlap,
-                        "chunks": d.chunks,
                         "est_s": d.est_seconds,
                         "queue_wait_s": outcome.queue_wait_s,
                         "run_s": run_s,

@@ -53,8 +53,6 @@ COUNTERS = (
     "coll.group_size",  # summed member count of those groups
     "coll.fused",       # fused pack/transfer/unpack collectives
     "coll.fused_direct",  # ... of which took a backend zero-copy path
-    "coll.overlapped",  # nonblocking (post/complete) collectives posted
-    "coll.chunks",      # summed chunk count of overlapped remap pipelines
     "coll.slots",       # per-destination descriptor slots written/scanned
     "remaps",           # data remaps performed by the sort
     "retries",          # retransmission rounds (reliable transport)
@@ -143,13 +141,12 @@ class Tracer:
         return sums
 
     #: ``wait`` span names that measure *transfer* wait — time blocked on
-    #: data movement finishing (pending-op completion, pairwise receives,
-    #: group descriptor posts).  Every other wait name (barriers, pending
-    #: posts, arena reuse, service queueing) is *queue* wait: time blocked
-    #: on peers or the scheduler reaching a rendezvous.  The overlapped
-    #: communication schedule shrinks only the transfer share, which is
-    #: why :class:`repro.trace.report.PhaseReport` reports them apart.
-    _TRANSFER_WAIT_NAMES = frozenset({"complete", "sendrecv-recv", "group-post"})
+    #: data movement finishing (pairwise receives, group descriptor
+    #: posts).  Every other wait name (barriers, arena reuse, service
+    #: queueing) is *queue* wait: time blocked on peers or the scheduler
+    #: reaching a rendezvous.  :class:`repro.trace.report.PhaseReport`
+    #: reports them apart.
+    _TRANSFER_WAIT_NAMES = frozenset({"sendrecv-recv", "group-post"})
 
     def wait_split(self) -> Dict[str, float]:
         """Exclusive ``wait`` seconds split by what was being waited for:

@@ -69,11 +69,9 @@ class PhaseReport:
     measured_wall_s: Optional[float] = None
     #: Measured ``wait`` time split by cause, mean µs per rank:
     #: *transfer* wait is time blocked on data movement finishing
-    #: (pending-op completion, pairwise receives), *queue* wait is time
+    #: (pairwise receives, group descriptor posts), *queue* wait is time
     #: blocked on peers/schedulers reaching a rendezvous (barriers,
-    #: posts, arena reuse).  The overlapped communication schedule
-    #: shrinks only the transfer share — this split is how a run shows
-    #: it did.  ``None`` when the run was untraced.
+    #: arena reuse).  ``None`` when the run was untraced.
     measured_transfer_wait_us: Optional[float] = None
     measured_queue_wait_us: Optional[float] = None
 

@@ -12,10 +12,9 @@ queue-driven :class:`~repro.service.pool.WorldPool` autoscaler:
 * an unobserved key's adapted price equals its static price (adaptation
   moves decisions on evidence only), while sustained slow observations
   flip the decision away from the mispriced candidate;
-* overlap efficiency is learned from traced sync/overlap wait-split
-  pairs, and the whole adapter state round-trips through the
-  ``repro-bitonic-profile/2`` schema (with /1 files warning-and-loading
-  without adapted state);
+* the whole adapter state round-trips through the profile schema (with
+  /1 files warning-and-loading without adapted state, and /3 files
+  warning-and-loading with their removed overlap fields ignored);
 * the pool prespawns on sustained backlog, shrinks on sustained quiet
   (one hysteresis violation in either direction must not thrash), and
   reaps TTL-expired idle worlds on acquire — not only on release.
@@ -23,6 +22,7 @@ queue-driven :class:`~repro.service.pool.WorldPool` autoscaler:
 
 import json
 import math
+import os
 import warnings
 from dataclasses import replace
 
@@ -34,7 +34,6 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.faults import FaultPlan
 from repro.service import (
-    BenchHistory,
     HostProfile,
     Planner,
     RequestAdapter,
@@ -44,6 +43,9 @@ from repro.service import (
 from repro.service.adapt import CLAMP, CorrectionState
 from repro.service.profile import PROFILE_SCHEMA
 from repro.trace.recorder import Tracer
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 class FakeClock:
@@ -137,13 +139,10 @@ class TestByteIdentity:
     @given(
         n_log2=st.integers(min_value=8, max_value=18),
         warm=st.booleans(),
-        overlap=st.sampled_from([None, True, False]),
     )
-    def test_adapt_false_matches_plain_planner(self, n_log2, warm, overlap):
-        plain = Planner().plan(1 << n_log2, warm=warm, overlap=overlap)
-        frozen = self._trained().plan(
-            1 << n_log2, warm=warm, overlap=overlap, adapt=False
-        )
+    def test_adapt_false_matches_plain_planner(self, n_log2, warm):
+        plain = Planner().plan(1 << n_log2, warm=warm)
+        frozen = self._trained().plan(1 << n_log2, warm=warm, adapt=False)
         assert frozen == plain
 
     @settings(max_examples=30, deadline=None)
@@ -180,7 +179,6 @@ class TestAdaptedPlanning:
         prefix = "" if before.algorithm == "smart" else f"{before.algorithm}:"
         static = before.static_candidates[
             f"{prefix}{before.backend}x{before.P}"
-            + ("+ov" if before.overlap else "")
         ]
         # The chosen candidate keeps measuring 4x its static price.
         for _ in range(8):
@@ -225,49 +223,6 @@ class TestAdaptedPlanning:
             RequestAdapter(alpha=0.0)
         with pytest.raises(ConfigurationError):
             RequestAdapter(alpha=1.5)
-
-
-# -- overlap efficiency from live wait splits ---------------------------
-
-
-class TestOverlapLearning:
-    def _observe_traced(self, adapter, *, overlap, wall_s=0.01):
-        """One traced smart P=2 observation through the real service
-        pipeline is heavyweight; feed the adapter a synthetic tracer
-        shaped the way the service's rank tracers are.  Spans are
-        ``[category, name, start_s, end_s, parent]``; ``wait`` spans
-        named ``complete`` are transfer wait.  Both polarities total
-        10 ms, but overlap cuts the wait 2 ms -> 0.5 ms."""
-        wait_s = 0.0005 if overlap else 0.002
-        tracer = Tracer(rank=0)
-        tracer.spans.append(["local_sort", None, 0.0, 0.01 - wait_s, -1])
-        tracer.spans.append(
-            ["wait", "complete", 0.01 - wait_s, 0.01, -1]
-        )
-        adapter.observe(
-            N=1 << 13, backend="threads", P=2, algorithm="smart",
-            measured_s=wall_s, overlap=overlap, tracers=[tracer],
-        )
-
-    def test_needs_both_polarities(self):
-        adapter = make_adapter()
-        assert adapter.overlap_efficiency("threads") is None
-        self._observe_traced(adapter, overlap=False)
-        assert adapter.overlap_efficiency("threads") is None
-        self._observe_traced(adapter, overlap=True)
-        eff = adapter.overlap_efficiency("threads")
-        assert eff is not None and 0.0 <= eff <= 1.0
-
-    def test_efficiency_reflects_wait_reduction(self):
-        adapter = make_adapter()
-        for _ in range(4):
-            self._observe_traced(adapter, overlap=False)
-            self._observe_traced(adapter, overlap=True)
-        # Overlap cut the measured wait 2000us -> 500us: ~75% removed.
-        assert adapter.overlap_efficiency("threads") == pytest.approx(
-            0.75, abs=0.05
-        )
-        assert adapter.stats()["overlap_efficiency"]["threads"] is not None
 
 
 # -- persistence: profile schema /2 -------------------------------------
@@ -318,6 +273,25 @@ class TestPersistence:
             profile, blob = HostProfile.load_with_state(path)
         assert blob is None
         assert profile.cpus == HostProfile.default().cpus
+
+    def test_parent_schema_3_profile_with_overlap_state_loads(self):
+        """A schema /3 profile carries the removed overlap-efficiency
+        field and an adapt blob with ``waits`` entries (one of polarity
+        ``"overlap"``): it loads through the old-schema warning, the
+        removed state is ignored and the corrections survive."""
+        path = os.path.join(DATA, "profile_v3_overlap.json")
+        doc = json.loads(open(path).read())
+        assert "overlap_efficiency" in doc["profile"]
+        assert any(w["polarity"] == "overlap" for w in doc["adapt"]["waits"])
+        with pytest.warns(UserWarning, match="repro-bitonic-profile/3"):
+            profile, blob = HostProfile.load_with_state(path)
+        assert profile.cpus == 2
+        restored = RequestAdapter.restore(blob, profile, clock=FakeClock())
+        assert restored.updates == doc["adapt"]["updates"]
+        assert restored.correction("threads", 2, "smart") == pytest.approx(
+            doc["adapt"]["corrections"][0]["value"]
+        )
+        assert "waits" not in restored.state_blob()
 
     def test_unknown_schema_raises(self, tmp_path):
         path = str(tmp_path / "profile.json")
@@ -495,7 +469,7 @@ class TestServiceIntegration:
         adapter = RequestAdapter(HostProfile.default())
         planner = Planner(
             backends=("threads",), candidate_P=(1, 2),
-            history=BenchHistory(()), adapter=adapter,
+            adapter=adapter,
         )
         service = SortService(
             planner=planner,
@@ -519,7 +493,7 @@ class TestServiceIntegration:
         adapter = RequestAdapter(HostProfile.default())
         planner = Planner(
             backends=("threads",), candidate_P=(1, 2),
-            history=BenchHistory(()), adapter=adapter,
+            adapter=adapter,
         )
         service = SortService(
             planner=planner,
@@ -540,7 +514,7 @@ class TestServiceIntegration:
         adapter = RequestAdapter(HostProfile.default())
         planner = Planner(
             backends=("threads",), candidate_P=(1,),
-            history=BenchHistory(()), adapter=adapter,
+            adapter=adapter,
         )
         service = SortService(
             planner=planner,

@@ -89,7 +89,7 @@ class TestSortSpmd:
         keys = make_keys(1 << 9, seed=10)
         report = sort(
             keys, 2, backend="procs",
-            backend_options=BackendOptions(arena_bytes=1 << 16),
+            options=BackendOptions(arena_bytes=1 << 16),
         )
         np.testing.assert_array_equal(report.sorted_keys, np.sort(keys))
 
@@ -118,8 +118,8 @@ class TestSortRejections:
                  faults=FaultPlan(seed=1, drop=0.5))
 
     def test_simulated_rejects_backend_options(self):
-        with pytest.raises(ConfigurationError, match="backend_options"):
-            sort(make_keys(64), 2, backend_options=BackendOptions())
+        with pytest.raises(ConfigurationError, match="backend options"):
+            sort(make_keys(64), 2, options=BackendOptions())
 
 
 class TestOptionsShim:
@@ -128,20 +128,8 @@ class TestOptionsShim:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             report = sort(keys, 2, backend="threads",
-                          options=BackendOptions(fused=False))
+                          options=BackendOptions())
         np.testing.assert_array_equal(report.sorted_keys, np.sort(keys))
-
-    def test_backend_options_warns_and_still_works(self):
-        keys = make_keys(1 << 9, seed=12)
-        with pytest.warns(DeprecationWarning, match="options="):
-            report = sort(keys, 2, backend="threads",
-                          backend_options=BackendOptions(fused=False))
-        np.testing.assert_array_equal(report.sorted_keys, np.sort(keys))
-
-    def test_both_spellings_rejected(self):
-        with pytest.raises(ConfigurationError, match="not both"):
-            sort(make_keys(64), 2, backend="threads",
-                 options=BackendOptions(), backend_options=BackendOptions())
 
 
 class TestBackendOptions:
@@ -157,34 +145,11 @@ class TestBackendOptions:
             run_spmd(2, lambda c: c.rank, backend="threads",
                      options=BackendOptions(arena_bytes=1 << 16))
 
-    def test_legacy_kwargs_warn_and_still_work(self):
-        with pytest.warns(DeprecationWarning, match="BackendOptions"):
-            out = run_spmd(
-                2, lambda c: c.rank, backend="procs", arena_bytes=1 << 16
-            )
-        assert out == [0, 1]
-
-    def test_legacy_kwargs_keep_threads_rejection(self):
-        """The old error contract survives the shim: threads + a procs-only
-        option is still a ConfigurationError (after the deprecation warn)."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ConfigurationError, match="no extra options"):
-                run_spmd(2, lambda c: c.rank, backend="threads",
-                         arena_bytes=1 << 16)
-
     def test_unknown_legacy_kwarg_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown run_spmd option"):
-            run_spmd(2, lambda c: c.rank, backend="procs", bogus=1)
-
-    def test_both_spellings_rejected(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ConfigurationError, match="not both"):
-                run_spmd(
-                    2, lambda c: c.rank, backend="procs",
-                    options=BackendOptions(), arena_bytes=1 << 16,
-                )
+        """Backend tuning travels only in ``options=``; loose keywords
+        (the removed legacy spelling) are a plain call error."""
+        with pytest.raises(TypeError):
+            run_spmd(2, lambda c: c.rank, backend="procs", arena_bytes=1)
 
     def test_set_fields(self):
         assert BackendOptions().set_fields() == []

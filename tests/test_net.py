@@ -7,6 +7,7 @@ under retried ids, deadline propagation onto the wire, fault-injected
 corruption, and clean teardown with zero leaked shm segments.
 """
 
+import inspect
 import socket
 import threading
 import time
@@ -284,6 +285,31 @@ class TestSortOverTheWire:
         assert np.array_equal(
             np.frombuffer(body, dtype=keys.dtype), np.sort(keys)
         )
+
+    def test_v2_sort_frame_with_old_flag_keys_sorts(self, server, client):
+        """A SORT frame from an older client still carries the removed
+        ``fused``/``grouped`` meta keys: the server ignores them and
+        sorts (every remap is fused and group-scoped), and the current
+        client no longer offers them."""
+        keys = make_keys(1024, seed=24)
+        meta = {
+            "id": "f" * 32,
+            "dtype": str(keys.dtype.str),
+            "backend": "threads",
+            "P": 4,
+            "fused": False,
+            "grouped": False,
+        }
+        with socket.create_connection(server.address, timeout=30.0) as s:
+            s.sendall(encode_frame(FrameType.SORT, meta, keys.tobytes()))
+            ftype, rmeta, body = _raw_recv_frame(s)
+        assert ftype == FrameType.RESULT
+        assert (rmeta["backend"], rmeta["P"]) == ("threads", 4)
+        assert np.array_equal(
+            np.frombuffer(body, dtype=keys.dtype), np.sort(keys)
+        )
+        params = inspect.signature(client.sort).parameters
+        assert "fused" not in params and "grouped" not in params
 
     def test_algorithm_meta_round_trips(self, client):
         keys = make_keys(1 << 11, seed=22)

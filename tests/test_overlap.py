@@ -1,316 +1,22 @@
-"""The overlapped communication schedule: nonblocking collectives and
-chunked remap pipelining.
+"""Wait-time accounting and service plumbing of the SPMD runtime.
 
-Covers the :func:`~repro.remap.exchange.chunk_plan` partition algebra,
-byte-equality of the overlapped pipeline against the synchronous path
-across backend × fused × grouped, out-of-order ``wait()`` on both
-backends, pending-op leak detection at job teardown, the two-in-flight
-cap of the procs arena protocol, the fault-transport fallback (armed
-injectors force the synchronous path), the tracer's wait-split
-accounting, and the planner/service plumbing of the ``overlap`` /
-``chunks`` knobs.
+Covers the tracer's wait split (transfer wait vs queue wait, by span
+name, exclusive under nesting) and its surfacing in the phase report,
+and the host profile's calibrated spin budget reaching the worlds the
+service spawns.
 """
 
-import numpy as np
 import pytest
 
 from repro.api import sort
-from repro.errors import CommunicationError
-from repro.layouts import smart_schedule
-from repro.remap.cache import cached_remap_plan
-from repro.remap.exchange import chunk_plan
-from repro.runtime import BackendOptions, run_spmd, spmd_bitonic_sort
 from repro.trace import Tracer, build_phase_report
 from repro.utils.rng import make_keys
-
-BACKENDS = ("threads", "procs")
-
-
-@pytest.fixture
-def small_chunks(monkeypatch):
-    """Lower the pipeline's chunk-size floor so the overlapped schedule
-    engages at test-sized partitions (procs workers fork after the patch,
-    so they inherit it)."""
-    import repro.runtime.bitonic_spmd as bs
-
-    monkeypatch.setattr(bs, "_MIN_CHUNK_ELEMS", 64)
-
-
-def _plans(N, P):
-    schedule = smart_schedule(N, P)
-    layout = schedule.initial_layout
-    for phase in schedule.phases:
-        for r in range(P):
-            yield cached_remap_plan(layout, phase.layout, r)
-        layout = phase.layout
-
-
-class TestChunkPlan:
-    def test_single_chunk_is_identity(self):
-        plan = next(_plans(1024, 4))
-        assert chunk_plan(plan, 1) == (plan,)
-        assert chunk_plan(plan, 0) == (plan,)
-
-    @pytest.mark.parametrize("K", [2, 3, 4, 7])
-    def test_sub_plans_partition_every_pair(self, K):
-        """The union of the sub-plans' per-pair indices is exactly the
-        full plan's, element order preserved, with no empty messages."""
-        for plan in _plans(4096, 8):
-            subs = chunk_plan(plan, K)
-            assert len(subs) == K
-            for side in ("send", "recv"):
-                full = getattr(plan, side)
-                for peer, idx in full.items():
-                    pieces = [
-                        getattr(s, side)[peer]
-                        for s in subs
-                        if peer in getattr(s, side)
-                    ]
-                    np.testing.assert_array_equal(
-                        np.concatenate(pieces), idx
-                    )
-                # No sub-plan invents a peer.
-                for s in subs:
-                    assert set(getattr(s, side)) <= set(full)
-                    for arr in getattr(s, side).values():
-                        assert arr.size > 0
-
-    def test_sender_receiver_boundaries_agree(self):
-        """A matched (src, dst) pair slices to identical element counts
-        in every chunk — the headerless property the pipeline rides on."""
-        K = 4
-        N, P = 4096, 8
-        all_plans = {p.rank: p for p in _plans(N, P) if True}
-        # Group plans per transition: regenerate per phase.
-        schedule = smart_schedule(N, P)
-        layout = schedule.initial_layout
-        for phase in schedule.phases:
-            plans = {
-                r: cached_remap_plan(layout, phase.layout, r)
-                for r in range(P)
-            }
-            subs = {r: chunk_plan(plans[r], K) for r in range(P)}
-            for src in range(P):
-                for dst, idx in plans[src].send.items():
-                    for c in range(K):
-                        sent = subs[src][c].send.get(dst)
-                        got = subs[dst][c].recv.get(src)
-                        a = 0 if sent is None else sent.size
-                        b = 0 if got is None else got.size
-                        assert a == b
-            layout = phase.layout
-
-    def test_keeps_are_not_chunked(self):
-        plan = next(_plans(1024, 4))
-        for s in chunk_plan(plan, 4):
-            assert s.keep_src.size == 0
-            assert s.keep_dst.size == 0
-
-    def test_memoized_on_the_plan(self):
-        plan = next(_plans(1024, 4))
-        assert chunk_plan(plan, 3) is chunk_plan(plan, 3)
-
-
-class TestOverlapByteEquality:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("fused", [True, False])
-    @pytest.mark.parametrize("grouped", [True, False])
-    def test_overlap_matches_sync(self, backend, fused, grouped,
-                                  small_chunks):
-        """The overlapped pipeline is byte-identical to the synchronous
-        path on every backend × fused × grouped combination."""
-        N, P = 4096, 4
-        keys = make_keys(N, seed=11)
-        n = N // P
-
-        def prog_sync(c):
-            return spmd_bitonic_sort(
-                c, keys[c.rank * n : (c.rank + 1) * n],
-                fused=fused, grouped=grouped,
-            )
-
-        def prog_overlap(c):
-            return spmd_bitonic_sort(
-                c, keys[c.rank * n : (c.rank + 1) * n],
-                fused=fused, grouped=grouped, overlap=True, chunks=4,
-            )
-
-        sync = np.concatenate(run_spmd(P, prog_sync, backend=backend))
-        over = np.concatenate(run_spmd(P, prog_overlap, backend=backend))
-        assert sync.tobytes() == over.tobytes()
-        np.testing.assert_array_equal(over, np.sort(keys))
-
-    def test_small_partitions_clamp_to_sync(self, small_chunks):
-        """Below the floor the effective chunk count drops — down to the
-        synchronous path — and output stays correct."""
-        N, P = 256, 4  # n = 64 -> K clamps to 1 even at the test floor
-        keys = make_keys(N, seed=3)
-        n = N // P
-
-        def prog(c):
-            c.tracer = Tracer(c.rank)
-            out = spmd_bitonic_sort(
-                c, keys[c.rank * n : (c.rank + 1) * n],
-                overlap=True, chunks=4,
-            )
-            return out, c.tracer
-
-        parts = run_spmd(P, prog, backend="threads")
-        out = np.concatenate([p for p, _ in parts])
-        np.testing.assert_array_equal(out, np.sort(keys))
-        for _, tr in parts:
-            assert tr.counters.get("coll.chunks", 0) == 0
-
-    def test_default_floor_clamps_small_sorts(self):
-        """At the production floor (4096 elements/chunk) a 1024-element
-        partition never chunks: requesting overlap costs nothing."""
-        keys = make_keys(4096, seed=5)
-        report = sort(
-            keys, P=4, backend="threads", trace=True,
-            backend_options=BackendOptions(overlap=True, chunks=4),
-        )
-        np.testing.assert_array_equal(report.sorted_keys, np.sort(keys))
-        assert report.phases.counters.get("coll.chunks", 0) == 0
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_front_door_overlap(self, backend, small_chunks):
-        """``sort(..., BackendOptions(overlap=True))`` engages the
-        pipeline (counters prove it) and matches the sync output."""
-        keys = make_keys(4096, seed=5)
-        base = sort(keys, P=4, backend=backend)
-        over = sort(
-            keys, P=4, backend=backend, trace=True,
-            backend_options=BackendOptions(overlap=True, chunks=4),
-        )
-        assert base.sorted_keys.tobytes() == over.sorted_keys.tobytes()
-        assert over.phases.counters.get("coll.overlapped", 0) > 0
-        assert over.phases.counters.get("coll.chunks", 0) > 0
-
-    def test_overlap_is_off_by_default(self):
-        keys = make_keys(1024, seed=5)
-        report = sort(keys, P=4, backend="threads", trace=True)
-        assert report.phases.counters.get("coll.overlapped", 0) == 0
-
-
-class TestNonblockingOps:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_out_of_order_wait(self, backend):
-        """Two posted alltoallv ops waited in reverse order deliver the
-        same payloads the blocking collective would."""
-
-        def prog(c):
-            first = [
-                None if q == c.rank else np.full(2, 10 * c.rank + q,
-                                                 dtype=np.int64)
-                for q in range(c.size)
-            ]
-            second = [
-                None if q == c.rank else np.full(3, 100 * c.rank + q,
-                                                 dtype=np.int64)
-                for q in range(c.size)
-            ]
-            op1 = c.ialltoallv(first)
-            op2 = c.ialltoallv(second)
-            r2 = op2.wait()
-            r1 = op1.wait()
-            total = 0
-            for q in range(c.size):
-                if q == c.rank:
-                    continue
-                assert r1[q].tolist() == [10 * q + c.rank] * 2
-                assert r2[q].tolist() == [100 * q + c.rank] * 3
-                total += int(r1[q].sum() + r2[q].sum())
-            return total
-        results = run_spmd(4, prog, backend=backend)
-        assert len(results) == 4
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_isendrecv_ring(self, backend):
-        def prog(c):
-            op = c.isendrecv(
-                np.array([c.rank], dtype=np.int64),
-                dst=(c.rank + 1) % c.size,
-                src=(c.rank - 1) % c.size,
-            )
-            got = op.wait()
-            assert op.test()  # done stays done
-            return int(got[0])
-
-        results = run_spmd(4, prog, backend=backend)
-        assert results == [3, 0, 1, 2]
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_pending_op_leak_raises(self, backend):
-        """A job that posts and never waits fails loudly at teardown."""
-
-        def prog(c):
-            c.ialltoallv(
-                [None if q == c.rank else np.arange(2) for q in range(c.size)]
-            )
-            return c.rank
-
-        with pytest.raises(CommunicationError, match="pending-op leak"):
-            run_spmd(2, prog, backend=backend)
-
-    def test_procs_rejects_a_third_inflight_op(self):
-        """The procs double-buffer arena supports two outstanding ops;
-        a third post is a programming error, not a deadlock."""
-
-        def prog(c):
-            def buckets():
-                return [
-                    None if q == c.rank else np.arange(2)
-                    for q in range(c.size)
-                ]
-
-            op1 = c.ialltoallv(buckets())
-            op2 = c.ialltoallv(buckets())
-            try:
-                c.ialltoallv(buckets())
-            except CommunicationError:
-                op1.wait()
-                op2.wait()
-                return "refused"
-            return "accepted"
-
-        assert run_spmd(2, prog, backend="procs") == ["refused"] * 2
-
-    def test_wait_is_idempotent(self):
-        def prog(c):
-            op = c.ialltoallv(
-                [None if q == c.rank else np.arange(3) for q in range(c.size)]
-            )
-            a = op.wait()
-            b = op.wait()
-            assert a is b
-            return c.pending_ops()
-
-        assert run_spmd(2, prog, backend="threads") == [0, 0]
-
-
-class TestFaultFallback:
-    def test_armed_injector_forces_sync_path(self):
-        """ReliableComm is not overlap-capable: with faults armed and
-        overlap requested, the sort transparently runs synchronously —
-        zero overlapped collectives, still correct."""
-        from repro.faults.plan import FaultPlan
-
-        keys = make_keys(2048, seed=9)
-        report = sort(
-            keys, P=4, backend="threads", trace=True,
-            faults=FaultPlan(seed=7, drop=0.05),
-            backend_options=BackendOptions(overlap=True, fused=False,
-                                           grouped=False),
-        )
-        np.testing.assert_array_equal(report.sorted_keys, np.sort(keys))
-        assert report.phases.counters.get("coll.overlapped", 0) == 0
-        assert report.phases.counters.get("coll.chunks", 0) == 0
 
 
 class TestWaitSplit:
     def test_classification_by_span_name(self):
         tr = Tracer(0)
-        with tr.span("wait", "complete"):
+        with tr.span("wait", "group-post"):
             pass
         with tr.span("wait", "barrier"):
             pass
@@ -327,8 +33,8 @@ class TestWaitSplit:
         """A transfer-wait span nested in a queue-wait span leaves its
         parent's bucket — the buckets sum to the outer wall, once."""
         tr = Tracer(0)
-        i = tr.begin("wait", "post")
-        j = tr.begin("wait", "complete")
+        i = tr.begin("wait", "barrier")
+        j = tr.begin("wait", "sendrecv-recv")
         tr.end(j)
         tr.end(i)
         split = tr.wait_split()
@@ -336,12 +42,9 @@ class TestWaitSplit:
         total = split["transfer_wait"] + split["queue_wait"]
         assert total == pytest.approx(outer, rel=1e-6)
 
-    def test_phase_report_carries_the_split(self, small_chunks):
+    def test_phase_report_carries_the_split(self):
         keys = make_keys(2048, seed=1)
-        report = sort(
-            keys, P=4, backend="threads", trace=True,
-            backend_options=BackendOptions(overlap=True),
-        )
+        report = sort(keys, P=4, backend="threads", trace=True)
         assert report.phases.measured_transfer_wait_us is not None
         assert report.phases.measured_queue_wait_us is not None
         d = report.phases.as_dict()["measured_wait_split"]
@@ -355,39 +58,6 @@ class TestWaitSplit:
 
 
 class TestPlannerAndService:
-    def test_planner_prices_overlap_candidates(self):
-        from repro.service import Planner
-
-        d = Planner().plan(1 << 14)
-        assert any(k.endswith("+ov") for k in d.candidates)
-        # Default profile: overlap_efficiency=0 -> never chosen freely.
-        assert d.overlap is False
-
-    def test_forced_overlap_and_chunks(self):
-        from repro.service import Planner
-
-        d = Planner().plan(1 << 14, overlap=True, chunks=8)
-        assert d.overlap is True and d.chunks == 8
-
-    def test_fault_clamp_forces_overlap_off(self):
-        from repro.service import Planner
-
-        d = Planner().plan(1 << 12, faults=True, overlap=True)
-        assert d.overlap is False and d.clamped
-
-    def test_history_overlap_efficiency(self):
-        from repro.service import BenchHistory
-
-        h = BenchHistory([
-            {"backend": "threads", "keys": 16384, "best_s": 0.010,
-             "overlap": False},
-            {"backend": "threads", "keys": 16384, "best_s": 0.008,
-             "overlap": True},
-        ])
-        eff = h.overlap_efficiency("threads")
-        assert eff == pytest.approx(0.2)
-        assert h.overlap_efficiency("procs") is None
-
     def test_profile_spin_budget_reaches_the_pool(self):
         """A calibrated spin budget in the planner's host profile is
         passed to the worlds the service spawns."""
@@ -400,14 +70,3 @@ class TestPlannerAndService:
             assert svc.pool._options.spin_budget == 123
         with SortService() as svc:  # default profile: no override
             assert svc.pool._options is None
-
-    def test_service_runs_overlap_requests(self):
-        from repro.service import SortService
-
-        keys = make_keys(4096, seed=2)
-        with SortService() as svc:
-            out = svc.sort(keys, backend="threads", P=4, overlap=True)
-            np.testing.assert_array_equal(out.sorted_keys, np.sort(keys))
-            assert out.decision.overlap is True
-            rec = svc.report().requests[0]
-            assert rec["overlap"] is True and rec["chunks"] == 4

@@ -13,7 +13,13 @@ import pytest
 
 from repro.errors import CommunicationError, ConfigurationError, SpmdTimeoutError
 from repro.faults import FaultInjector, FaultPlan, ReliableComm, run_chaos_sort
-from repro.runtime import BACKENDS, Comm, run_spmd, spmd_bitonic_sort
+from repro.runtime import (
+    BACKENDS,
+    BackendOptions,
+    Comm,
+    run_spmd,
+    spmd_bitonic_sort,
+)
 from repro.sorts import SmartBitonicSort
 from repro.utils.rng import make_keys
 
@@ -28,7 +34,8 @@ class TestDispatch:
 
     def test_threads_rejects_procs_options(self):
         with pytest.raises(ConfigurationError, match="no extra options"):
-            run_spmd(2, lambda c: None, backend="threads", arena_bytes=1 << 20)
+            run_spmd(2, lambda c: None, backend="threads",
+                     options=BackendOptions(arena_bytes=1 << 20))
 
     def test_default_backend_is_threads(self):
         comms = run_spmd(2, lambda c: type(c).__name__)
@@ -103,7 +110,8 @@ class TestProcsPrimitives:
             got = c.alltoallv([a for _ in range(c.size)])
             return [int(x[-1]) for x in got]
 
-        out = run_spmd(2, prog, backend="procs", arena_bytes=1 << 12)
+        out = run_spmd(2, prog, backend="procs",
+                       options=BackendOptions(arena_bytes=1 << 12))
         assert out == [[99999, 100000], [99999, 100000]]
 
     def test_pickle_fallback_payloads(self):

@@ -226,7 +226,9 @@ class TestCircuitBreaker:
         live = FakeShard("live")
         router = ShardRouter({"live": live}, health_interval_s=0.02)
         router.start_health_checks()
-        time.sleep(0.15)
+        deadline = time.monotonic() + 30.0
+        while live.health_calls < 2 and time.monotonic() < deadline:
+            time.sleep(0.02)
         router.close()
         assert live.health_calls >= 2
         assert router.status()["live"]["last_health"]["healthy"] is True

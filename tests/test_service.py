@@ -25,7 +25,6 @@ from repro.errors import (
 )
 from repro.faults import FaultPlan
 from repro.service import (
-    BenchHistory,
     HostProfile,
     PlanDecision,
     Planner,
@@ -120,37 +119,28 @@ class TestPlanner:
         with pytest.raises(ConfigurationError, match="do not divide"):
             Planner().plan(1 << 12, P=3)
 
-    def test_fault_clamp_forces_threads_unfused(self):
+    def test_fault_clamp_forces_threads(self):
         d = Planner().plan(1 << 12, faults=True)
         assert d.backend == "threads"
-        assert d.fused is False and d.grouped is False
         assert d.clamped is True
 
     def test_fault_clamp_rejects_forced_procs(self):
         with pytest.raises(ConfigurationError, match="threads backend"):
             Planner().plan(1 << 12, faults=True, backend="procs")
 
-    # Satellite (b): the safety property, pinned by hypothesis — over
-    # any size and any attempted override, an armed fault plan never
-    # yields a fused or grouped decision (ReliableComm cannot fuse; the
-    # planner must never *select* a config it knows will fall back).
+    # The safety property, pinned by hypothesis — over any size and any
+    # forced world size, an armed fault plan always lands on the threads
+    # backend (the injector needs one address space).
     @given(
         log_n=st.integers(min_value=2, max_value=20),
-        fused=st.sampled_from([None, True, False]),
-        grouped=st.sampled_from([None, True, False]),
         forced_P=st.sampled_from([None, 1, 2, 4]),
     )
-    def test_property_faulty_plans_never_fuse(
-        self, log_n, fused, grouped, forced_P
-    ):
+    def test_property_faulty_plans_run_on_threads(self, log_n, forced_P):
         N = 1 << log_n
         if forced_P is not None and (N % forced_P or 0 < N // forced_P < 2):
             forced_P = None
-        d = Planner().plan(
-            N, faults=True, fused=fused, grouped=grouped, P=forced_P
-        )
-        assert d.backend == "threads"
-        assert d.fused is False and d.grouped is False
+        d = Planner().plan(N, faults=True, P=forced_P)
+        assert d.backend == "threads" and d.clamped
 
     def test_decision_table_renders(self):
         table = Planner().decision_table(sizes=(1 << 10, 1 << 12))
@@ -180,37 +170,6 @@ class TestPlanner:
     def test_unplannable_algorithm_rejected(self):
         with pytest.raises(ConfigurationError, match="cannot schedule"):
             Planner().plan(1 << 12, algorithm="radix")
-
-    def test_overlap_pins_smart(self):
-        # Sample sort has a single redistribution — there is no pipeline
-        # of remaps to overlap, so forcing overlap scopes the race to
-        # the bitonic algorithm.
-        d = Planner().plan(1 << 14, overlap=True)
-        assert d.algorithm == "smart"
-
-
-class TestBenchHistory:
-    def test_biases_toward_measured_backend(self):
-        # History saying procs is 100x the model's estimate must push the
-        # planner toward threads at the benched size.
-        history = BenchHistory(
-            [{"backend": "procs", "keys": 1 << 14, "best_s": 50.0}]
-        )
-        planner = Planner(history=history)
-        d = planner.plan(1 << 14)
-        assert d.backend == "threads"
-        assert d.source == "history"
-
-    def test_missing_files_are_not_errors(self):
-        history = BenchHistory.load(["/nonexistent/BENCH_pr999.json"])
-        assert len(history) == 0
-
-    def test_nearest_size_within_factor_four(self):
-        history = BenchHistory(
-            [{"backend": "threads", "keys": 1 << 14, "best_s": 0.5}]
-        )
-        assert history.best("threads", 1 << 15) == (0.5, 1 << 14)
-        assert history.best("threads", 1 << 20) is None
 
 
 class TestHostProfile:
@@ -282,7 +241,7 @@ class TestSortServiceRequests:
         out = service.sort(keys, faults=FaultPlan(seed=9, drop=0.05), P=2)
         assert out.sorted_keys.tobytes() == np.sort(keys).tobytes()
         assert out.decision.backend == "threads"
-        assert out.decision.fused is False and out.decision.clamped
+        assert out.decision.clamped
         assert out.fault_stats.get("decisions", 0) > 0
 
     def test_non_power_of_two_rejected(self, service):
@@ -299,11 +258,15 @@ class TestSortServiceRequests:
 
 
 class TestAdmissionControl:
-    def test_queue_full_rejects(self):
+    def test_queue_full_rejects(self, gated_dispatch):
         with SortService(queue_depth=1) as svc:
-            # The first request parks in the queue while the dispatcher
-            # picks it up; the burst behind it must hit the bound.
-            tickets, rejected = [], 0
+            # The first request holds the dispatcher on its world; the
+            # next one fills the queue and the burst behind it must hit
+            # the bound.
+            tickets = [svc.submit(make_keys(1 << 12, seed=99),
+                                  backend="threads", P=2)]
+            assert gated_dispatch.started.wait(30)
+            rejected = 0
             for i in range(20):
                 try:
                     tickets.append(
@@ -313,6 +276,7 @@ class TestAdmissionControl:
                 except AdmissionError as exc:
                     assert exc.reason == "queue-full"
                     rejected += 1
+            gated_dispatch.release.set()
             for t in tickets:
                 t.result(60)
             assert rejected > 0
@@ -348,24 +312,29 @@ class TestDeadlinePropagation:
             assert exc.value.stage == "result-wait"
             ticket.result(60)  # the request itself still completes
 
-    def test_overdue_request_expires_in_queue_not_on_a_world(self):
+    def test_overdue_request_expires_in_queue_not_on_a_world(
+        self, gated_dispatch
+    ):
         """A request whose deadline dies while queued is failed typed at
         dispatch — it never runs after the caller gave up."""
         with SortService(queue_depth=8, batch_max=1) as svc:
-            # Park a slow request so the next one ages in the queue.
-            slow = svc.submit(make_keys(1 << 20, seed=2),
-                              backend="threads", P=2)
-            time.sleep(0.3)  # let the dispatcher take it (queue empties)
+            # Hold the dispatcher on a parked request (the queue empties)
+            # so the next one ages in the queue.
+            parked = svc.submit(make_keys(1 << 10, seed=2),
+                                backend="threads", P=2)
+            assert gated_dispatch.started.wait(30)
             # The deadline clears the admission estimate (a tiny sort)
-            # but dies long before the slow request frees the
-            # dispatcher.
+            # but dies before the gate frees the dispatcher: sleep()
+            # never returns early.
             doomed = svc.submit(make_keys(1 << 10, seed=3),
                                 backend="threads", P=4,
                                 deadline_s=0.03)
+            time.sleep(0.1)
+            gated_dispatch.release.set()
             with pytest.raises(RequestTimeoutError) as exc:
                 doomed.result(60)
             assert exc.value.stage == "dispatch"
-            slow.result(120)
+            parked.result(120)
             report = svc.report()
             # The expired request is accounted in its own counter, not
             # silently dropped (and not double-counted as failed).
@@ -391,16 +360,19 @@ class TestTenantFairness:
         assert report.tenants["acme"]["admitted"] == 1
         assert "acme" in report.describe()
 
-    def test_burst_tenant_bounded_quiet_tenant_admitted(self):
+    def test_burst_tenant_bounded_quiet_tenant_admitted(
+        self, gated_dispatch
+    ):
         """Under a contended queue a bursting tenant is capped near its
         fair share while a quiet tenant still gets in."""
         adm = TenantAdmission(contended_fraction=0.25)
         with SortService(queue_depth=8, batch_max=1,
                          admission=adm) as svc:
-            # Stall the dispatcher with one slow request so the burst
-            # really contends for queue slots.
-            slow = svc.submit(make_keys(1 << 20, seed=6),
-                              backend="threads", P=2)
+            # Hold the dispatcher on one request so the burst really
+            # contends for queue slots.
+            parked = svc.submit(make_keys(1 << 10, seed=6),
+                                backend="threads", P=2)
+            assert gated_dispatch.started.wait(30)
             tickets, rejections = [], []
             for i in range(12):
                 try:
@@ -416,7 +388,8 @@ class TestTenantFairness:
             assert "tenant-share" in rejections
             quiet = svc.submit(make_keys(1 << 10, seed=30),
                                backend="threads", P=4, tenant="quiet")
-            slow.result(120)
+            gated_dispatch.release.set()
+            parked.result(120)
             for t in tickets:
                 t.result(60)
             quiet.result(60)

@@ -175,16 +175,14 @@ class TestPhaseReport:
 class TestRuntimeInstrumentation:
     @pytest.mark.parametrize("backend", ["threads", "procs"])
     def test_spmd_sort_records_phases_and_counters(self, backend):
-        """Unfused/world mode records the classic five-phase breakdown."""
+        """Every rank records its phase spans and one fused, group-scoped
+        collective per remap."""
         P, n = 4, 256
         keys = make_keys(P * n, seed=5)
 
         def prog(c):
             c.tracer = Tracer(c.rank)
-            out = spmd_bitonic_sort(
-                c, keys[c.rank * n : (c.rank + 1) * n],
-                fused=False, grouped=False,
-            )
+            out = spmd_bitonic_sort(c, keys[c.rank * n : (c.rank + 1) * n])
             return out, c.tracer
 
         results = run_spmd(P, prog, backend=backend)
@@ -195,11 +193,11 @@ class TestRuntimeInstrumentation:
             assert tr.rank == rank
             totals = tr.totals()
             for cat in ("local_sort", "address", "pack", "transfer",
-                        "unpack", "merge"):
+                        "merge"):
                 assert cat in totals, f"rank {rank} missing {cat!r} spans"
             assert tr.counters["remaps"] >= 1
-            assert tr.counters["coll.alltoallv"] == tr.counters["remaps"]
-            assert tr.counters["coll.slots"] == P * tr.counters["coll.alltoallv"]
+            assert tr.counters["coll.fused"] == tr.counters["remaps"]
+            assert tr.counters["coll.slots"] <= P * tr.counters["remaps"]
             assert tr.counters["bytes_sent"] > 0
 
     @pytest.mark.parametrize("backend", ["threads", "procs"])

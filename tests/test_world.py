@@ -170,8 +170,8 @@ class TestWarmReuse:
             outs = world.run(
                 sort_shards_job,
                 rank_args=[
-                    ([keys_a[:512], keys_b[:512]], True, True, False, None),
-                    ([keys_a[512:], keys_b[512:]], True, True, False, None),
+                    ([keys_a[:512], keys_b[:512]], False, None),
+                    ([keys_a[512:], keys_b[512:]], False, None),
                 ],
             )
         for i, keys in enumerate((keys_a, keys_b)):
