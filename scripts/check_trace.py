@@ -61,6 +61,9 @@ adapt gate when ``adapt_replay`` is; a /7 document with neither fails.
 Schema ``repro-bitonic-bench/8`` end-to-end trajectories must
 additionally carry the ``external_over_inmem`` crossover table (positive
 ratios; no floor — where spilling starts to pay is the data).
+Schema ``repro-bitonic-bench/10`` kernel records must carry a positive
+``reference_over_npsort``: the paper formulation timed next to the
+``np.sort``-backed kernel.
 """
 
 import argparse
@@ -262,6 +265,18 @@ def check_bench(path: str) -> list:
                 f"external_over_inmem[{size}] = {ratio!r}: crossover "
                 "ratios must be positive measured speedups"
             )
+    # Schema /10+: the radix and merge kernel records time the paper's
+    # reference formulation too; without it they would compare np.sort
+    # with itself and hide what the native kernels bought.
+    if schema_version >= 10:
+        for kind in ("radix", "merge"):
+            for rec in doc.get("kernels", {}).get(kind, []):
+                ratio = rec.get("reference_over_npsort")
+                if not isinstance(ratio, (int, float)) or not ratio > 0:
+                    errors.append(
+                        f"kernels.{kind} record {rec.get('keys', rec.get('shape'))}: "
+                        f"reference_over_npsort = {ratio!r}, not a measured ratio"
+                    )
     return errors
 
 

@@ -9,9 +9,11 @@ one):
   :func:`~repro.runtime.spmd_sample_sort`) across runtime backends and
   problem sizes, cross-checking that every backend × algorithm produces
   byte-identical output;
-* **kernel hot paths** — the paper's local radix sort and batched
-  bitonic merge, each timed against ``np.sort`` on the same input (the
-  yardstick), plus cold-vs-cached remap-plan construction;
+* **kernel hot paths** — the local radix sort and batched bitonic
+  merge, each timed against ``np.sort`` on the same input (the
+  yardstick) and against its paper formulation in
+  :mod:`repro.localsort.reference`, plus cold-vs-cached remap-plan
+  construction;
 * **per-phase breakdown** — one extra *traced* (untimed) run per backend
   and size attaches exclusive per-category µs and the world-summed trace
   counters to each end-to-end record, so a perf PR can claim it moved a
@@ -42,6 +44,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.layouts.schedule import smart_schedule
+from repro.localsort import reference
 from repro.localsort.bitonic_merge_sort import batched_bitonic_merge
 from repro.localsort.radix import radix_sort
 from repro.remap.cache import RemapPlanCache
@@ -78,8 +81,12 @@ __all__ = ["run_bench", "write_bench", "BENCH_SCHEMA"]
 #: (one record per backend × algorithm; no ``variant``/``fused``/
 #: ``grouped``/``overlap``/``chunks`` fields, no ``fused_over_unfused``
 #: or ``overlap_over_sync`` tables) and re-based the kernel records on
-#: ``np.sort`` instead of the removed legacy kernels.
-BENCH_SCHEMA = "repro-bitonic-bench/9"
+#: ``np.sort`` instead of the removed legacy kernels;
+#: /10 added the ``reference`` timing (the paper's formulation from
+#: :mod:`repro.localsort.reference`) and ``reference_over_npsort`` to the
+#: ``radix`` and ``merge`` kernel records, now that the hot-path kernels
+#: themselves run on ``np.sort``.
+BENCH_SCHEMA = "repro-bitonic-bench/10"
 
 #: World sizes the service section sweeps when measuring warm latency
 #: (and the planner's candidate set for the match tally).
@@ -175,21 +182,38 @@ def _bench_end_to_end(
     return records
 
 
+def _kernel_record(
+    record: Dict[str, Any],
+    reps: int,
+    name: str,
+    kernel: Callable[[], Any],
+    npsort: Callable[[], Any],
+    ref: Callable[[], Any],
+) -> Dict[str, Any]:
+    """Time the hot-path ``kernel`` (stored under ``name``), ``np.sort``
+    and the kernel's paper formulation; both ratios are over ``np.sort``."""
+    record["np_sort"] = _time(npsort, reps)
+    record[name] = _time(kernel, reps)
+    record["reference"] = _time(ref, reps)
+    base = record["np_sort"]["best_s"]
+    record["over_npsort"] = record[name]["best_s"] / base
+    record["reference_over_npsort"] = record["reference"]["best_s"] / base
+    return record
+
+
 def _bench_kernels(sizes: Sequence[int], reps: int) -> Dict[str, Any]:
     out: Dict[str, Any] = {"radix": [], "merge": [], "plan": []}
     for N in sizes:
         keys = make_keys(N, seed=N % 104729)
-        np.testing.assert_array_equal(radix_sort(keys), np.sort(keys))
-        npsort = _time(lambda: np.sort(keys), reps)
-        current = _time(lambda: radix_sort(keys), reps)
-        out["radix"].append(
-            {
-                "keys": N,
-                "np_sort": npsort,
-                "radix_sort": current,
-                "over_npsort": current["best_s"] / npsort["best_s"],
-            }
-        )
+        expect = np.sort(keys)
+        np.testing.assert_array_equal(radix_sort(keys), expect)
+        np.testing.assert_array_equal(reference.radix_sort(keys), expect)
+        out["radix"].append(_kernel_record(
+            {"keys": N}, reps, "radix_sort",
+            lambda: radix_sort(keys),
+            lambda: np.sort(keys),
+            lambda: reference.radix_sort(keys),
+        ))
         # Column-lane merge on a square-ish power-of-two matrix: the shape
         # the crossing remap's second computation phase produces.
         length = 1 << (max(N, 4).bit_length() // 2)
@@ -197,20 +221,17 @@ def _bench_kernels(sizes: Sequence[int], reps: int) -> Dict[str, Any]:
         mat = np.sort(
             make_keys(lanes * length, seed=N % 7919).reshape(length, lanes), axis=0
         )[::-1]  # descending columns are (trivially) bitonic
+        expect = np.sort(mat, axis=0)
+        np.testing.assert_array_equal(batched_bitonic_merge(mat, True, axis=0), expect)
         np.testing.assert_array_equal(
-            batched_bitonic_merge(mat, True, axis=0), np.sort(mat, axis=0)
+            reference.batched_bitonic_merge(mat, True, axis=0), expect
         )
-        npsort = _time(lambda: np.sort(mat, axis=0), reps)
-        current = _time(lambda: batched_bitonic_merge(mat, True, axis=0), reps)
-        out["merge"].append(
-            {
-                "shape": [length, lanes],
-                "axis": 0,
-                "np_sort": npsort,
-                "batched_bitonic_merge": current,
-                "over_npsort": current["best_s"] / npsort["best_s"],
-            }
-        )
+        out["merge"].append(_kernel_record(
+            {"shape": [length, lanes], "axis": 0}, reps, "batched_bitonic_merge",
+            lambda: batched_bitonic_merge(mat, True, axis=0),
+            lambda: np.sort(mat, axis=0),
+            lambda: reference.batched_bitonic_merge(mat, True, axis=0),
+        ))
         # Plan construction: a fresh build per phase/rank vs a warm cache.
         P = min(32, max(2, N >> 12))
         schedule = smart_schedule(N, P)

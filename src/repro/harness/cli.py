@@ -299,7 +299,8 @@ def _cmd_bench(args) -> int:
     for kind in ("radix", "merge"):
         for rec in payload["kernels"][kind]:
             print(f"  kernel {kind:>5} {rec.get('keys', rec.get('shape'))}: "
-                  f"{rec['over_npsort']:.2f}x np.sort")
+                  f"{rec['over_npsort']:.2f}x np.sort (paper reference "
+                  f"{rec['reference_over_npsort']:.2f}x)")
     for rec in payload["kernels"]["plan"]:
         print(f"  kernel  plan {rec['keys']}: "
               f"{rec['speedup']:.2f}x cached over rebuilt")

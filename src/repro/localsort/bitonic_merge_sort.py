@@ -6,13 +6,16 @@ increasing-then-decreasing, and merge the ascending prefix with the reversed
 descending suffix.  :func:`sort_bitonic` implements exactly that.
 
 :func:`batched_bitonic_merge` sorts *many* bitonic sequences at once — the
-rows or columns of a matrix — using the butterfly formulation of a bitonic
-merge (``lg L`` rounds of elementwise min/max between halves).  The crossing
-remap's two computation phases (Theorem 3) operate on ``2**b`` row-sequences
-of length ``2**a`` and then ``2**a`` column-sequences of length ``2**b``;
-the butterfly form vectorizes across the whole matrix in NumPy, while the
-simulated machine charges the work at the paper's linear-merge rate either
-way (:class:`~repro.model.machines.ComputeCosts.merge`).
+rows or columns of a matrix.  The crossing remap's two computation phases
+(Theorem 3) operate on ``2**b`` row-sequences of length ``2**a`` and then
+``2**a`` column-sequences of length ``2**b``; on the host that is one
+``np.sort`` along the lanes with the descending lanes reversed, the batched
+equivalent of running every lane's merge in a single kernel.  The paper's
+butterfly formulation (``lg L`` rounds of elementwise min/max between
+halves) is :func:`repro.localsort.reference.batched_bitonic_merge`, its
+equality-tested twin.  The simulated machine charges the work at the
+paper's linear-merge rate either way
+(:class:`~repro.model.machines.ComputeCosts.merge`).
 """
 
 from __future__ import annotations
@@ -102,21 +105,45 @@ def batched_bitonic_merge(
     Returns a new array with every lane sorted in its direction.
     """
     m = np.asarray(m)
+    asc = _lane_directions(m, ascending, axis)
+    if m.shape[axis] == 2:
+        # One compare-exchange per lane: a single butterfly round beats
+        # np.sort's per-lane overhead (4-6x at 2^17-2^21 keys on a 2-vCPU
+        # Xeon, NumPy 2.4).
+        return _butterfly_merge(m, asc, axis)
+    desc = ~asc
+    out = np.sort(m, axis=axis)
+    if desc.any():
+        if axis == 1:
+            out[desc] = out[desc, ::-1]
+        else:
+            out[:, desc] = out[::-1, desc]
+    return out
+
+
+def _lane_directions(m: np.ndarray, ascending, axis: int) -> np.ndarray:
+    """Validate a batched merge's input; returns one ascending flag per
+    lane."""
     if m.ndim != 2:
         raise ConfigurationError(f"expected a 2-D array, got {m.ndim}-D")
     if axis not in (0, 1):
         raise ConfigurationError(f"axis must be 0 or 1, got {axis}")
-    # One materialization for either axis: the butterfly runs in place on a
-    # single copy, with the reshape oriented so column lanes need no
-    # transposed second copy.
-    work = m.copy()
-    lanes = work.shape[1 - axis]
-    length = work.shape[axis]
+    length = m.shape[axis]
     if length == 0 or not is_power_of_two(length):
         raise ConfigurationError(
             f"lane length must be a positive power of two, got {length}"
         )
-    asc = np.broadcast_to(np.asarray(ascending, dtype=bool), (lanes,))
+    return np.broadcast_to(np.asarray(ascending, dtype=bool), (m.shape[1 - axis],))
+
+
+def _butterfly_merge(m: np.ndarray, asc: np.ndarray, axis: int) -> np.ndarray:
+    """The butterfly bitonic merge: ``lg L`` rounds of elementwise min/max
+    between lane halves, vectorized across the whole matrix and run in
+    place on one copy (``m`` and ``asc`` already validated)."""
+    # The reshape is oriented so column lanes need no transposed copy.
+    work = m.copy()
+    lanes = work.shape[1 - axis]
+    length = work.shape[axis]
     size = length
     while size > 1:
         half = size // 2

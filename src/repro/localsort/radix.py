@@ -1,28 +1,19 @@
-"""LSD radix sort for unsigned integer keys.
+"""The local sort of the first ``lg n`` network stages (§4.4).
 
-The paper uses a local radix sort for the first ``lg n`` stages of the
-network ("since the keys are in a specified range we used radix-sort which
-also takes O(n) time", §4.4).  We implement the classic least-significant-
-digit counting sort: per digit, a histogram, an exclusive cumulative sum
-over digit values for the output bases, and one stable scatter.
-
-Implementation note: the stable scatter needs each element's rank *within
-its digit bucket*, which NumPy cannot produce with a plain ``bincount``.
-The trick here packs all 16 per-chunk digit counters into one ``uint64``
-(16 lanes x 4 bits, rows chunked in groups of 15 so no lane overflows): a
-single vectorized ``cumsum`` over the packed one-hot encodings yields, at
-every element, the running count of each digit value — the within-chunk
-rank — and the final row per chunk is the chunk histogram.  Chunk-exclusive
-and digit-exclusive scans then complete the classic counting-sort address
-``base[digit] + rank``, one O(n) scatter per pass and no ``argsort``
-anywhere.  The packed lanes bound a sub-digit at 4 bits, so a configured
-``radix_bits``-wide digit is processed as consecutive 4-bit sub-passes
-covering exactly the same bit range — stable LSD passes over any
-partition of the same bits produce identical output.  The *simulated
-machine* charges radix sort at the paper's cost of one linear pass per
-``radix_bits`` digit (:class:`repro.model.machines.ComputeCosts.radix_pass`),
-so the accounting follows the algorithm, not the Python vectorization
-trick.
+The paper sorts each processor's keys with a local LSD radix sort because
+it was the fastest local sort available on its machine ("since the keys
+are in a specified range we used radix-sort which also takes O(n) time").
+Under NumPy the fastest exact local sort is ``np.sort``, so
+:func:`radix_sort` keeps the LSD contract — sort by the low
+``num_passes(key_bits, radix_bits) * radix_bits`` bits, stably — and
+delegates to it: a full-width digit range is a plain ``np.sort`` of the
+keys' bits, a narrower one a stable ``argsort`` of the masked keys, which
+is exactly what the LSD passes compute.  The packed-lane counting sort
+that spells out the passes is :func:`repro.localsort.reference.radix_sort`,
+its equality-tested twin.  The *simulated machine* charges radix sort at
+the paper's cost of one linear pass per ``radix_bits`` digit
+(:class:`repro.model.machines.ComputeCosts.radix_pass`), so the accounting
+follows the algorithm, not the host kernel.
 """
 
 from __future__ import annotations
@@ -32,10 +23,6 @@ import numpy as np
 from repro.errors import ConfigurationError
 
 __all__ = ["radix_sort", "num_passes"]
-
-#: Rows per packed-counter chunk: 15 one-hot increments can never overflow
-#: a 4-bit lane.
-_CHUNK = 15
 
 
 def num_passes(key_bits: int, radix_bits: int) -> int:
@@ -54,6 +41,9 @@ def radix_sort(
 ) -> np.ndarray:
     """Sort ``keys`` (an unsigned integer array) and return a new array.
 
+    Signed keys are ordered by their two's-complement bits, as LSD passes
+    order them.
+
     Parameters
     ----------
     ascending:
@@ -67,60 +57,31 @@ def radix_sort(
         choice); the covered bit range is rounded up to whole digits,
         exactly as one counting sort per digit would.
     """
-    keys = np.asarray(keys)
-    if keys.ndim != 1:
-        raise ConfigurationError(f"radix_sort expects a 1-D array, got {keys.ndim}-D")
+    keys = _check_keys(keys)
     if keys.size <= 1:
         return keys.copy()
-    if not np.issubdtype(keys.dtype, np.integer):
-        raise ConfigurationError(f"radix_sort expects integer keys, got {keys.dtype}")
     total_bits = num_passes(key_bits, radix_bits) * radix_bits
-    out = _counting_sort_passes(keys.copy(), total_bits)
+    # LSD passes see the two's-complement bits, i.e. the unsigned view —
+    # of the native-order values: a byte-swapped view of non-native keys
+    # (``>u4`` on a little-endian host) would order them by swapped bytes.
+    native = keys.astype(keys.dtype.newbyteorder("="), copy=False)
+    bits = native.view(f"u{keys.dtype.itemsize}")
+    if total_bits >= 8 * keys.dtype.itemsize:
+        out = np.sort(bits).view(native.dtype).astype(keys.dtype, copy=False)
+    else:
+        low = bits & bits.dtype.type((1 << total_bits) - 1)
+        out = keys[np.argsort(low, kind="stable")]
     if not ascending:
         out = out[::-1].copy()
     return out
 
 
-def _counting_sort_passes(out: np.ndarray, total_bits: int) -> np.ndarray:
-    """Stable LSD counting-sort scatters over bits ``[0, total_bits)`` of
-    ``out`` (which is consumed as scratch), 4 bits at a time."""
-    n = out.size
-    # Index math in int32 when it fits: it halves the memory traffic of the
-    # big rank/position arrays, which dominates at large n.
-    idt = np.int32 if n < (1 << 31) else np.int64
-    C = -(-n // _CHUNK)  # number of chunks
-    pad = C * _CHUNK - n
-    chunk_id = np.repeat(np.arange(C, dtype=idt), _CHUNK)[:n]
-    enc = np.zeros(C * _CHUNK, dtype=np.uint64)
-    lanes4 = (np.arange(16, dtype=np.uint64) << np.uint64(2))[:, None]
-    new = np.empty_like(out)
-    shift = 0
-    while shift < total_bits:
-        width = min(4, total_bits - shift)
-        digit_mask = (1 << width) - 1
-        d = ((out >> shift) & out.dtype.type(digit_mask)).astype(np.uint64)
-        lane = d << np.uint64(2)  # 4-bit lane offset of each digit value
-        # Packed one-hot: incrementing digit v adds 1 to lane v.
-        np.left_shift(np.uint64(1), lane, out=enc[:n])
-        if pad:
-            enc[n:] = 0
-        packed = enc.reshape(C, _CHUNK)
-        # One cumsum = 16 running per-digit counters, all rows at once.
-        np.cumsum(packed, axis=1, out=packed)
-        # Unpack per-chunk histograms as (16, C) — digit-major, so the
-        # across-chunk scan below runs over contiguous memory.
-        hist = ((packed[:, -1][None, :] >> lanes4) & np.uint64(15)).astype(idt)
-        before = np.cumsum(hist, axis=1)  # inclusive over chunks …
-        totals = before[:, -1].copy()  # … whose last column is the global histogram
-        before -= hist  # exclusive: earlier chunks only
-        base = np.cumsum(totals) - totals  # exclusive scan over digit values
-        # Running counter *including self*, hence the -1 for a 0-based rank.
-        rank = ((packed.ravel()[:n] >> lane) & np.uint64(15)).astype(idt) - 1
-        di = d.astype(idt)
-        pos = base[di]
-        pos += before.ravel()[di * idt(C) + chunk_id]
-        pos += rank
-        new[pos] = out
-        out, new = new, out
-        shift += width
-    return out
+def _check_keys(keys: np.ndarray) -> np.ndarray:
+    """The radix kernels' input contract: a 1-D array, integer unless it
+    has at most one element."""
+    keys = np.asarray(keys)
+    if keys.ndim != 1:
+        raise ConfigurationError(f"radix_sort expects a 1-D array, got {keys.ndim}-D")
+    if keys.size > 1 and not np.issubdtype(keys.dtype, np.integer):
+        raise ConfigurationError(f"radix_sort expects integer keys, got {keys.dtype}")
+    return keys

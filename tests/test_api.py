@@ -65,6 +65,14 @@ class TestSortSpmd:
         assert report.wall_seconds > 0
         assert report.stats is None  # nothing simulated on a real run
 
+    @pytest.mark.parametrize("P", [1, 2])
+    def test_sample_sorts_non_native_byte_order(self, P):
+        # At P=1 the sample sort returns its local radix sort's output
+        # as is; at P>1 its splitters are cut from those sorted runs.
+        keys = make_keys(1 << 10, seed=9).astype(">u4")
+        report = sort(keys, P, algorithm="sample", backend="threads")
+        np.testing.assert_array_equal(report.sorted_keys, np.sort(keys))
+
     @pytest.mark.parametrize("backend", ["threads", "procs"])
     def test_trace_aligns_three_sources(self, backend):
         keys = make_keys(1 << 10, seed=8)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.harness.bench import BENCH_SCHEMA, run_bench, write_bench
 from repro.harness.cli import main
-from repro.localsort import batched_bitonic_merge, radix_sort
+from repro.localsort import batched_bitonic_merge, radix_sort, reference
 from repro.utils.rng import make_keys
 
 #: Tiny but structurally complete bench configuration for tests.
@@ -49,10 +49,14 @@ class TestRunBench:
         rec = payload["kernels"]["radix"][0]
         assert rec["np_sort"]["best_s"] > 0
         assert rec["radix_sort"]["best_s"] > 0
+        assert rec["reference"]["best_s"] > 0
         assert rec["over_npsort"] > 0
+        assert rec["reference_over_npsort"] > 0
         rec = payload["kernels"]["merge"][0]
         assert rec["np_sort"]["best_s"] > 0
         assert rec["batched_bitonic_merge"]["best_s"] > 0
+        assert rec["reference"]["best_s"] > 0
+        assert rec["reference_over_npsort"] > 0
         rec = payload["kernels"]["plan"][0]
         assert rec["plan_cache_warm"]["best_s"] > 0
         assert rec["speedup"] > 1  # a warm cache must beat rebuilding
@@ -64,26 +68,29 @@ class TestRunBench:
 
 
 class TestLegacyKernelsStayHonest:
-    """The kernel records time the paper's kernels against ``np.sort`` on
-    the same input; the kernels must stay observationally identical to
-    it, or the recorded ratios compare different work."""
+    """The kernel records time the hot-path kernels, their paper
+    formulations (:mod:`repro.localsort.reference`) and ``np.sort`` on the
+    same input; all three must stay observationally identical, or the
+    recorded ratios compare different work."""
 
     def test_radix_agrees(self):
         keys = make_keys(4096, seed=11)
-        np.testing.assert_array_equal(radix_sort(keys), np.sort(keys))
-        np.testing.assert_array_equal(
-            radix_sort(keys, ascending=False), np.sort(keys)[::-1]
-        )
+        for ascending in (True, False):
+            expect = np.sort(keys) if ascending else np.sort(keys)[::-1]
+            for kernel in (radix_sort, reference.radix_sort):
+                np.testing.assert_array_equal(
+                    kernel(keys, ascending=ascending), expect
+                )
 
     def test_merge_agrees_both_axes(self):
         keys = make_keys(4096, seed=12)
         m = np.sort(keys.reshape(64, 64), axis=1)
         m[::2] = m[::2, ::-1]  # alternating rows: bitonic either way
         for axis, mat in ((1, m), (0, m.T)):
-            np.testing.assert_array_equal(
-                batched_bitonic_merge(mat, True, axis=axis),
-                np.sort(mat, axis=axis),
-            )
+            for kernel in (batched_bitonic_merge, reference.batched_bitonic_merge):
+                np.testing.assert_array_equal(
+                    kernel(mat, True, axis=axis), np.sort(mat, axis=axis)
+                )
 
 
 class TestBenchCli:

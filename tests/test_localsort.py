@@ -14,6 +14,7 @@ from repro.localsort import (
     merge_sorted,
     p_way_merge,
     radix_sort,
+    reference,
     sort_bitonic,
 )
 from repro.localsort.radix import num_passes
@@ -187,6 +188,15 @@ class TestBatchedBitonicMerge:
             batched_bitonic_merge(np.zeros((4, 4)), True, axis=2)
 
 
+    def test_columns_mixed_directions(self, rng):
+        cols = np.stack([_random_bitonic(rng, 16) for _ in range(8)], axis=1)
+        asc = np.array([True, False, False, True, False, True, True, False])
+        out = batched_bitonic_merge(cols, asc, axis=0)
+        for j in range(8):
+            expect = np.sort(cols[:, j])
+            np.testing.assert_array_equal(out[:, j], expect if asc[j] else expect[::-1])
+
+
 class TestMerges:
     @given(st.integers(0, 100_000), st.integers(0, 64), st.integers(0, 64))
     def test_merge_sorted(self, seed, nx, ny):
@@ -216,3 +226,86 @@ class TestMerges:
     def test_p_way_merge_rejects_all_empty(self):
         with pytest.raises(ConfigurationError):
             p_way_merge([np.array([]), np.array([])])
+
+
+def _bits(a: np.ndarray) -> bytes:
+    """Byte image of an array: tells ``0.0`` from ``-0.0``, which compare
+    equal, so tie order becomes observable."""
+    return np.ascontiguousarray(a).tobytes()
+
+
+#: Sorted float runs over values with signed-zero ties.
+_tie_runs = st.lists(
+    st.sampled_from([-1.0, -0.0, 0.0, 1.0]), max_size=24
+).map(lambda v: np.sort(np.array(v, dtype=np.float64), kind="stable"))
+
+
+class TestNativeMatchesReference:
+    """Every hot-path kernel returns exactly what its paper formulation in
+    :mod:`repro.localsort.reference` returns."""
+
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(0, 300),
+        st.integers(1, 32), st.integers(1, 16), st.booleans(),
+        st.sampled_from(["<u4", ">u4"]),
+    )
+    def test_radix_sort_full_range_uint32(
+        self, seed, n, key_bits, radix_bits, asc, dtype
+    ):
+        keys = np.random.default_rng(seed).integers(
+            0, 2**32, n, dtype=np.uint64
+        ).astype(dtype)
+        kw = dict(key_bits=key_bits, radix_bits=radix_bits, ascending=asc)
+        out = radix_sort(keys, **kw)
+        np.testing.assert_array_equal(out, reference.radix_sort(keys, **kw))
+        assert out.dtype == keys.dtype
+        if key_bits > 24 and radix_bits == 8:
+            expect = np.sort(keys)
+            np.testing.assert_array_equal(out, expect if asc else expect[::-1])
+
+    @given(
+        st.integers(0, 100_000), st.integers(0, 200), st.integers(1, 64),
+        st.sampled_from(["<i8", ">i8"]),
+    )
+    def test_radix_sort_signed_low_bits(self, seed, n, key_bits, dtype):
+        keys = np.random.default_rng(seed).integers(-(2**40), 2**40, n).astype(dtype)
+        out = radix_sort(keys, key_bits=key_bits)
+        np.testing.assert_array_equal(
+            out, reference.radix_sort(keys, key_bits=key_bits)
+        )
+        assert out.dtype == keys.dtype
+
+    @given(_tie_runs, _tie_runs)
+    def test_merge_sorted_tie_order(self, x, y):
+        assert _bits(merge_sorted(x, y)) == _bits(reference.merge_sorted(x, y))
+
+    @given(st.lists(_tie_runs, min_size=1, max_size=7))
+    def test_p_way_merge_tie_order(self, runs):
+        if all(r.size == 0 for r in runs):
+            runs[0] = np.array([0.0])
+        assert _bits(p_way_merge(runs)) == _bits(reference.p_way_merge(runs))
+
+    @given(
+        st.integers(0, 100_000), st.integers(0, 5), st.integers(1, 6),
+        st.sampled_from([0, 1]),
+    )
+    def test_batched_bitonic_merge(self, seed, lg_len, lanes, axis):
+        rng = np.random.default_rng(seed)
+        m = np.stack(
+            [_random_bitonic(rng, 1 << lg_len, hi=8) for _ in range(lanes)],
+            axis=1 - axis,
+        )
+        asc = rng.integers(0, 2, lanes).astype(bool)
+        out = batched_bitonic_merge(m, asc, axis=axis)
+        np.testing.assert_array_equal(
+            out, reference.batched_bitonic_merge(m, asc, axis=axis)
+        )
+        # An oracle sharing no code with either kernel: every lane sorted,
+        # descending lanes reversed.
+        expect = np.sort(m, axis=axis)
+        desc = np.flip(expect, axis=axis)
+        if axis == 1:
+            expect[~asc] = desc[~asc]
+        else:
+            expect[:, ~asc] = desc[:, ~asc]
+        np.testing.assert_array_equal(out, expect)

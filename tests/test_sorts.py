@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import sort
 from repro.errors import ConfigurationError, VerificationError
 from repro.sorts import (
     BlockedMergeBitonicSort,
@@ -184,6 +185,33 @@ class TestMetricsMatchTheory:
         )
         # Every transferred element is its own message.
         assert res.stats.messages_per_proc == res.stats.volume_per_proc
+
+
+class TestSimulatedAccountingPinned:
+    """The simulator charges local kernels by its cost model, never by
+    host wall time, so swapping the host kernels must leave every
+    simulated number where it was.  These values were recorded from the
+    NumPy-formulation kernels (the ones now in
+    :mod:`repro.localsort.reference`)."""
+
+    #: algorithm -> (elapsed_us, remaps, volume_per_proc, messages_per_proc)
+    PINNED = {
+        "smart": (379.2389999999999, 3, 2048, 7),
+        "sample": (264.69679999999994, 1, 883, 6),
+        "cyclic-blocked": (636.7544, 4, 3072, 12),
+    }
+
+    @pytest.mark.parametrize("algorithm", sorted(PINNED))
+    def test_run_stats_unchanged(self, algorithm):
+        stats = sort(
+            make_keys(1 << 12, seed=7), 4, algorithm=algorithm,
+            backend="simulated",
+        ).stats
+        elapsed, remaps, volume, messages = self.PINNED[algorithm]
+        assert stats.elapsed_us == pytest.approx(elapsed, rel=1e-12)
+        assert (stats.remaps, stats.volume_per_proc, stats.messages_per_proc) == (
+            remaps, volume, messages,
+        )
 
 
 class TestRelativePerformance:
